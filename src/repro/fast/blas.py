@@ -42,14 +42,12 @@ class FastBlasPlan:
         self.mode = self.mod.mode
 
     def _coerce_pair(self, x: IntMatrix, y: IntMatrix):
-        xa = limbs_from_ints(x)
-        ya = limbs_from_ints(y)
+        xa = self.mod.to_limbs(x, "x")
+        ya = self.mod.to_limbs(y, "y")
         if xa.shape != ya.shape:
             raise ArithmeticDomainError(
                 f"vector length mismatch: {xa.shape[:-1]} vs {ya.shape[:-1]}"
             )
-        self.mod.check_reduced(xa, "x")
-        self.mod.check_reduced(ya, "y")
         as_ints = not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray))
         return xa, ya, as_ints
 

@@ -3,21 +3,25 @@
 A *chain* is a small, serializable program — a list of step dicts over
 named registers — composing the fast engine's primitives (NTT stages,
 psi twists, pointwise products, BLAS ops) without returning to the
-caller between steps. Two consumers:
+caller between steps. Every convolution the fast engine computes runs
+through :func:`run_chain`, whoever the caller is:
 
-* :mod:`repro.par.worker` executes a whole chain as **one** pool task
-  (``op="chain"``), collapsing what used to be three dispatch round
-  trips (forward NTTs, pointwise, inverse) into one;
-* the worker's built-in ``negacyclic_mul``/``cyclic_mul`` ops route
-  through the same runner, so every convolution shard benefits.
+* in process, :meth:`repro.fast.ntt.FastNegacyclic.multiply` and
+  :meth:`repro.fast.ntt.FastNtt.cyclic_multiply` pack their operands
+  once and run :data:`NEGACYCLIC_MUL_STEPS` / :data:`CYCLIC_MUL_STEPS`;
+* in the pool, :mod:`repro.par.worker` executes a whole chain as **one**
+  task (``op="chain"``), and its built-in ``negacyclic_mul`` /
+  ``cyclic_mul`` shard ops run the same two chains.
 
 The runner keeps intermediate values **resident on the active
 arithmetic substrate**: with an r52 modulus (q <= 102 bits) registers
 stay in 52-bit limb-plane form across every step — one ``from_dw``
-repack per input, one ``to_dw`` per output, rather than per primitive —
-which is the PR 7 follow-on the roadmap calls out. Every step's
-mathematical output is a fully reduced canonical residue, so chains are
-bit-exact with the unfused fast (and faithful) engines by construction.
+repack per input, one ``to_dw`` per output, rather than per primitive.
+Every step's mathematical output is a fully reduced canonical residue,
+so chains are bit-exact with the faithful engine by construction. Each
+ntt, twist and pointwise step still counts as one fast-engine kernel
+call (``engine.fast.calls.<op>``) and opens its own ``engine.fast.run``
+span, so the kernels inside a fused product stay visible to profiles.
 
 Step shapes (all plain dicts, pickle/JSON-safe)::
 
@@ -34,13 +38,16 @@ must leave its result in the register named ``"out"``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import NttParameterError
 from repro.fast.blas import FastBlasPlan
-from repro.fast.ntt import FastNegacyclic, FastNtt
+from repro.obs.hooks import engine_run_span, record_engine_call, record_r52_call
+
+if TYPE_CHECKING:  # repro.fast.ntt imports this module
+    from repro.fast.ntt import FastNegacyclic, FastNtt
 
 #: Valid ``blas_op`` values for a ``blas`` step.
 BLAS_OPS = ("vector_add", "vector_sub", "vector_mul", "axpy")
@@ -51,8 +58,8 @@ STEP_KINDS = ("ntt", "twist", "pointwise", "blas")
 #: Output register every chain must produce.
 OUT_REGISTER = "out"
 
-#: Negacyclic product ``out = x * y mod (x^n + 1, q)`` — the exact step
-#: sequence of :meth:`repro.fast.ntt.FastNegacyclic.multiply`, fused.
+#: Negacyclic product ``out = x * y mod (x^n + 1, q)`` — the chain
+#: :meth:`repro.fast.ntt.FastNegacyclic.multiply` runs.
 NEGACYCLIC_MUL_STEPS = (
     {"kind": "twist", "which": "twist", "src": "x", "dst": "xt"},
     {"kind": "ntt", "direction": "forward", "natural": False,
@@ -66,8 +73,8 @@ NEGACYCLIC_MUL_STEPS = (
     {"kind": "twist", "which": "untwist", "src": "cy", "dst": OUT_REGISTER},
 )
 
-#: Cyclic product ``out = x * y mod (x^n - 1, q)`` — the fused form of
-#: :meth:`repro.fast.ntt.FastNtt.cyclic_multiply`.
+#: Cyclic product ``out = x * y mod (x^n - 1, q)`` — the chain
+#: :meth:`repro.fast.ntt.FastNtt.cyclic_multiply` runs.
 CYCLIC_MUL_STEPS = (
     {"kind": "ntt", "direction": "forward", "natural": False,
      "src": "x", "dst": "fa"},
@@ -188,7 +195,7 @@ def run_chain(
     step stays in plane form; the double-word repack happens once per
     input register and once for the result. Each step produces fully
     reduced canonical residues, which is what makes the fused result
-    bit-identical to the unfused engines.
+    bit-identical to the faithful engine.
     """
     r = ntt.mod.r52
     use_r52 = r is not None and ntt._r52 is not None
@@ -206,64 +213,77 @@ def run_chain(
         tag, val = value
         return val if tag == "dw" else r.to_dw(val)
 
+    def kernel(op: str, value: tuple):
+        """Count one fused kernel call and open its engine span."""
+        tag, val = value
+        elements = val.size // 2 if tag == "dw" else val[0].size
+        record_engine_call("fast", op, elements)
+        if use_r52:
+            record_r52_call(op, elements)
+        return engine_run_span("fast", op, elements, mode=ntt.mode)
+
     for step in steps:
         kind = step["kind"]
         if kind == "ntt":
             inverse = step["direction"] == "inverse"
             natural = bool(step.get("natural", False))
-            if use_r52:
-                planes = as_r52(regs[step["src"]])
-                if inverse:
-                    if not natural:
+            src = regs[step["src"]]
+            with kernel("ntt.inverse" if inverse else "ntt.forward", src):
+                if use_r52:
+                    planes = as_r52(src)
+                    if inverse:
+                        if not natural:
+                            planes = [p[..., bitrev] for p in planes]
+                        planes = ntt._r52.run_stages(planes, True)
                         planes = [p[..., bitrev] for p in planes]
-                    planes = ntt._r52.run_stages(planes, True)
-                    planes = [p[..., bitrev] for p in planes]
-                    planes = r.mulmod_shoup(planes, ntt._r52_n_inv_pair())
+                        planes = r.mulmod_shoup(planes, ntt._r52_n_inv_pair())
+                    else:
+                        planes = ntt._r52.run_stages(planes, False)
+                        if natural:
+                            planes = [p[..., bitrev] for p in planes]
+                    regs[step["dst"]] = ("r52", planes)
                 else:
-                    planes = ntt._r52.run_stages(planes, False)
-                    if natural:
-                        planes = [p[..., bitrev] for p in planes]
-                regs[step["dst"]] = ("r52", planes)
-            else:
-                x = as_dw(regs[step["src"]])
-                if inverse:
-                    if not natural:
+                    x = as_dw(src)
+                    if inverse:
+                        if not natural:
+                            x = x[..., bitrev, :]
+                        x = ntt._run_stages(x, True)
                         x = x[..., bitrev, :]
-                    x = ntt._run_stages(x, True)
-                    x = x[..., bitrev, :]
-                    x = ntt.mod.mulmod(x, ntt._n_inv)
-                else:
-                    x = ntt._run_stages(x, False)
-                    if natural:
-                        x = x[..., bitrev, :]
-                regs[step["dst"]] = ("dw", x)
+                        x = ntt.mod.mulmod(x, ntt._n_inv)
+                    else:
+                        x = ntt._run_stages(x, False)
+                        if natural:
+                            x = x[..., bitrev, :]
+                    regs[step["dst"]] = ("dw", x)
         elif kind == "twist":
             if neg is None:
                 raise NttParameterError(
                     "chain has a twist step but no negacyclic plan (psi)"
                 )
             untwist = step["which"] == "untwist"
-            if use_r52:
-                planes = as_r52(regs[step["src"]])
-                pair = (
-                    neg._r52_untwist_pair() if untwist
-                    else neg._r52_twist_pair()
-                )
-                regs[step["dst"]] = ("r52", r.mulmod_shoup(planes, pair))
-            else:
-                x = as_dw(regs[step["src"]])
-                tw = neg._untwist if untwist else neg._twist
-                regs[step["dst"]] = ("dw", ntt.mod.mulmod(x, tw))
+            src = regs[step["src"]]
+            with kernel(f"ntt.{step['which']}", src):
+                if use_r52:
+                    pair = (
+                        neg._r52_untwist_pair() if untwist
+                        else neg._r52_twist_pair()
+                    )
+                    regs[step["dst"]] = (
+                        "r52", r.mulmod_shoup(as_r52(src), pair)
+                    )
+                else:
+                    tw = neg._untwist if untwist else neg._twist
+                    regs[step["dst"]] = ("dw", ntt.mod.mulmod(as_dw(src), tw))
         elif kind == "pointwise":
-            if use_r52:
-                a = as_r52(regs[step["a"]])
-                b = as_r52(regs[step["b"]])
-                regs[step["dst"]] = ("r52", r.mulmod(a, b))
-            else:
-                a = as_dw(regs[step["a"]])
-                b = as_dw(regs[step["b"]])
-                regs[step["dst"]] = ("dw", ntt.mod.mulmod(a, b))
-        else:  # blas (validated)
+            a, b = regs[step["a"]], regs[step["b"]]
+            with kernel("ntt.pointwise", a):
+                if use_r52:
+                    regs[step["dst"]] = ("r52", r.mulmod(as_r52(a), as_r52(b)))
+                else:
+                    regs[step["dst"]] = (
+                        "dw", ntt.mod.mulmod(as_dw(a), as_dw(b))
+                    )
+        else:  # blas (validated): the plan counts its own call
             plan = blas if blas is not None else FastBlasPlan(ntt.q)
             xa = as_dw(regs[step["x"]])
             ya = as_dw(regs[step["y"]])

@@ -87,19 +87,23 @@ def _pack_flat(values: List[int]) -> np.ndarray:
 
 
 def limbs_to_ints(limbs: np.ndarray) -> Union[int, List[int], List[List[int]]]:
-    """Unpack a limb array back into Python ints (shape-preserving)."""
+    """Unpack a limb array back into Python ints (shape-preserving).
+
+    When every high word is zero (any modulus below ``2^64``) the low
+    words already are the values, and one ``tolist`` call unpacks them.
+    """
+    if limbs.ndim not in (1, 2, 3):
+        raise ArithmeticDomainError(
+            f"cannot unpack a limb array of rank {limbs.ndim}"
+        )
+    if not limbs[..., 1].any():
+        return limbs[..., 0].tolist()
     if limbs.ndim == 1:
         lo, hi = limbs.tolist()
         return (hi << 64) | lo
     if limbs.ndim == 2:
         return [(hi << 64) | lo for lo, hi in limbs.tolist()]
-    if limbs.ndim == 3:
-        return [
-            [(hi << 64) | lo for lo, hi in row] for row in limbs.tolist()
-        ]
-    raise ArithmeticDomainError(
-        f"cannot unpack a limb array of rank {limbs.ndim}"
-    )
+    return [[(hi << 64) | lo for lo, hi in row] for row in limbs.tolist()]
 
 
 # ---------------------------------------------------------------------------

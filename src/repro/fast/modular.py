@@ -25,6 +25,7 @@ from repro.arith.barrett import BarrettParams
 from repro.arith.dwmod import check_modulus_128
 from repro.errors import ArithmeticDomainError
 from repro.fast.limbs import (
+    LIMB_DTYPE,
     IntVector,
     add128_nocarry,
     geq128,
@@ -50,6 +51,28 @@ _MODULUS_LOCK = threading.Lock()
 
 #: Default bound on cached FastModulus instances.
 DEFAULT_CACHE_CAPACITY = 64
+
+
+#: Moduli below this bound take the one-call ``np.array`` packing path of
+#: :meth:`FastModulus.to_limbs`: every reduced residue is an ``int64``.
+_NARROW_BOUND = 1 << 63
+
+
+def _pack_narrow(values: IntVector) -> Optional[np.ndarray]:
+    """Python ints below ``2^63`` as a limb array, or ``None`` if not all are."""
+    if isinstance(values, np.ndarray):
+        return None
+    try:
+        words = np.array(values)
+    except (ValueError, OverflowError, TypeError):
+        return None
+    if words.dtype != np.int64 or words.ndim > 2 or (
+        words.size and words.min() < 0
+    ):
+        return None
+    arr = np.zeros(words.shape + (2,), dtype=LIMB_DTYPE)
+    arr[..., 0] = words
+    return arr
 
 
 class FastModulus:
@@ -129,8 +152,18 @@ class FastModulus:
     # ------------------------------------------------------------------
 
     def to_limbs(self, values: IntVector, name: str = "values") -> np.ndarray:
-        """Pack and range-check operands: every element must be in [0, q)."""
-        arr = limbs_from_ints(values)
+        """Pack and range-check operands: every element must be in [0, q).
+
+        Limb arrays pass through unchanged (after the range check). For a
+        one-word modulus (``q < 2^63``) Python ints pack in one
+        ``np.array`` call instead of one ``to_bytes`` per element; any
+        input that call does not turn into non-negative ``int64`` words
+        (negatives, floats, bools alone, ragged rows, values of ``2^63``
+        and up) takes the general path and fails exactly as it does there.
+        """
+        arr = _pack_narrow(values) if self.q < _NARROW_BOUND else None
+        if arr is None:
+            arr = limbs_from_ints(values)
         self.check_reduced(arr, name)
         return arr
 

@@ -23,6 +23,7 @@ import numpy as np
 from repro.arith.modular import inv_mod
 from repro.arith.primes import root_of_unity
 from repro.errors import NttParameterError
+from repro.fast.chain import CYCLIC_MUL_STEPS, NEGACYCLIC_MUL_STEPS, run_chain
 from repro.fast.limbs import IntVector, limbs_from_ints, limbs_to_ints
 from repro.fast.modular import FastModulus
 from repro.fast.r52 import R52Ntt
@@ -137,11 +138,20 @@ class FastNtt:
         return limbs_to_ints(out) if as_ints else out
 
     def cyclic_multiply(self, f: IntMatrix, g: IntMatrix) -> IntMatrix:
-        """Length-``n`` cyclic convolution via the transform."""
-        fa = self.forward(f, natural_order=False)
-        ga = self.forward(g, natural_order=False)
-        prod = self.pointwise_mul(fa, ga)
-        return self.inverse(prod, natural_order=False)
+        """Length-``n`` cyclic convolution via the transform.
+
+        Runs :data:`~repro.fast.chain.CYCLIC_MUL_STEPS` as one fused
+        chain: the operands are packed once and, on the r52 substrate,
+        stay in limb-plane form from the first transform to the last.
+        """
+        return self._fused(CYCLIC_MUL_STEPS, f, g)
+
+    def _fused(self, steps, f: IntMatrix, g: IntMatrix, neg=None) -> IntMatrix:
+        """Run a two-input chain on ``f``/``g``; ints in, ints out."""
+        fa, as_ints = self._coerce(f)
+        ga, _ = self._coerce(g)
+        out = run_chain(steps, {"x": fa, "y": ga}, self, neg=neg)
+        return limbs_to_ints(out) if as_ints else out
 
     # ------------------------------------------------------------------
     # Internals
@@ -149,11 +159,10 @@ class FastNtt:
 
     def _coerce(self, values: IntMatrix) -> Tuple[np.ndarray, bool]:
         as_ints = not isinstance(values, np.ndarray)
-        arr = limbs_from_ints(values)
+        arr = self.mod.to_limbs(values)
         if arr.ndim not in (2, 3) or arr.shape[-2] != self.n:
             got = arr.shape[-2] if arr.ndim >= 2 else 0
             raise NttParameterError(f"expected {self.n} values, got {got}")
-        self.mod.check_reduced(arr)
         return arr, as_ints
 
     def _r52_n_inv_pair(self) -> tuple:
@@ -266,13 +275,15 @@ class FastNegacyclic:
         return limbs_to_ints(out) if as_ints else out
 
     def multiply(self, f: IntMatrix, g: IntMatrix) -> IntMatrix:
-        """Negacyclic product ``f * g mod (x^n + 1, q)`` (batched-aware)."""
+        """Negacyclic product ``f * g mod (x^n + 1, q)`` (batched-aware).
+
+        One fused :data:`~repro.fast.chain.NEGACYCLIC_MUL_STEPS` chain:
+        twist, transforms, pointwise product and untwist all run on the
+        resident substrate between a single pack and a single unpack.
+        """
         record_engine_call("fast", "ntt.polymul", self.n)
         with engine_run_span("fast", "ntt.polymul", self.n, mode=self.mode):
-            fa = self.forward(f)
-            ga = self.forward(g)
-            prod = self.plan.pointwise_mul(fa, ga)
-            return self.inverse(prod)
+            return self.plan._fused(NEGACYCLIC_MUL_STEPS, f, g, neg=self)
 
 
 def fast_negacyclic_polymul(

@@ -4,8 +4,10 @@ Runs the parallel batch engine through a gauntlet of deterministic fault
 scenarios — worker crashes, hangs past ``task_timeout``, payload
 corruption behind a valid checksum, slow stragglers, a tripped circuit
 breaker, an instantly-expired batch deadline — and verifies after every
-one that the results are **bit-identical** to the fast engine (plus a
-faithful-engine spot check), that the breaker recovers, and that no
+one that the results are **bit-identical** to an independent reference
+(the in-process fast engine for transforms and BLAS, the schoolbook
+negacyclic product for polynomial multiplies, plus a faithful-engine
+spot check), that the breaker recovers, and that no
 shared-memory segment leaks. Every scenario derives its fault placement
 from the ``--seed``, so a failing run is replayable from its command
 line alone.
@@ -77,8 +79,9 @@ def run_chaos(
     import numpy as np  # noqa: F401  (the engines under test need it)
 
     from repro.fast.blas import FastBlasPlan
-    from repro.fast.ntt import FastNegacyclic, FastNtt
+    from repro.fast.ntt import FastNtt
     from repro.kernels import get_backend
+    from repro.ntt.reference import negacyclic_schoolbook_polymul
     from repro.ntt.simd import SimdNtt
     from repro.obs import observing
     from repro.par import shm
@@ -112,6 +115,15 @@ def run_chaos(
     def expect(condition: bool, message: str) -> None:
         if not condition:
             raise AssertionError(message)
+
+    def schoolbook(f_rows: list, g_rows: list) -> list:
+        # The pool's products run the same fused chain as the in-process
+        # fast engine, so the reference must not: a chain bug would
+        # cancel out of the comparison.
+        return [
+            negacyclic_schoolbook_polymul(f, g, q)
+            for f, g in zip(f_rows, g_rows)
+        ]
 
     rates = dict(
         crash=crash, hang=hang, corrupt=corrupt, slow=slow,
@@ -181,7 +193,6 @@ def run_chaos(
 
             def negacyclic_multiply() -> None:
                 plan = ParNegacyclic(n, q, executor=pool)
-                reference = FastNegacyclic(n, q, psi=plan.psi)
                 pool.inject(_merged_plan(
                     seed + 1,
                     rounds * shards_per_call,
@@ -198,8 +209,8 @@ def run_chaos(
                         for _ in range(batch)
                     ]
                     expect(
-                        plan.multiply(f, g) == reference.multiply(f, g),
-                        "negacyclic product diverged from the fast engine",
+                        plan.multiply(f, g) == schoolbook(f, g),
+                        "negacyclic product diverged from the schoolbook",
                     )
                 pool.inject(None)
 
@@ -259,8 +270,6 @@ def run_chaos(
 
             def chain_multiply_add() -> None:
                 plan = ParNegacyclic(n, q, executor=pool)
-                reference = FastNegacyclic(n, q, psi=plan.psi)
-                blas = FastBlasPlan(q)
                 pool.inject(_merged_plan(
                     seed + 4,
                     rounds * shards_per_call,
@@ -280,10 +289,13 @@ def run_chaos(
                         [rng.randrange(q) for _ in range(n)]
                         for _ in range(batch)
                     ]
-                    expected = blas.vector_add(reference.multiply(f, g), acc)
+                    expected = [
+                        [(p + c) % q for p, c in zip(prow, crow)]
+                        for prow, crow in zip(schoolbook(f, g), acc)
+                    ]
                     expect(
                         plan.multiply_add(f, g, acc) == expected,
-                        "fused multiply_add diverged from the fast engine",
+                        "fused multiply_add diverged from the schoolbook",
                     )
                 pool.inject(None)
                 chains = session.metrics.get("par.fused.chains")
@@ -478,8 +490,6 @@ def run_chaos(
                 cooldown_s=0.4,
                 on_transition=record_breaker_transition,
             )
-            reference = None
-
             def make_pairs(count: int) -> list:
                 return [
                     (
@@ -514,8 +524,7 @@ def run_chaos(
                     ))
                     pool4.inject(None)
                     expect(
-                        got == [reference.multiply([f], [g])[0]
-                                for f, g in pairs],
+                        got == schoolbook(*zip(*pairs)),
                         "responses diverged while the breaker tripped",
                     )
                     expect(
@@ -530,8 +539,7 @@ def run_chaos(
                         for pair in pairs
                     ))
                     expect(
-                        got == [reference.multiply([f], [g])[0]
-                                for f, g in pairs],
+                        got == schoolbook(*zip(*pairs)),
                         "degraded responses diverged",
                     )
                     # Wave 3: after cooldown the next batch is the
@@ -544,8 +552,7 @@ def run_chaos(
                         for pair in pairs
                     ))
                     expect(
-                        got == [reference.multiply([f], [g])[0]
-                                for f, g in pairs],
+                        got == schoolbook(*zip(*pairs)),
                         "post-recovery responses diverged",
                     )
                 finally:
@@ -562,8 +569,6 @@ def run_chaos(
                 breaker=breaker,
                 adaptive=False,
             ) as pool4:
-                plan = ParNegacyclic(n, q, executor=pool4)
-                reference = FastNegacyclic(n, q, psi=plan.psi)
                 asyncio.run(drive(pool4))
             expect(
                 breaker.state == "closed",
@@ -617,8 +622,6 @@ def run_chaos(
 
             from repro.serve import ReproService, ServeConfig
 
-            reference = None
-
             async def drive(pool5) -> None:
                 service = ReproService(
                     executor=pool5,
@@ -651,8 +654,7 @@ def run_chaos(
                     os.kill(victims[0], signal.SIGKILL)
                     got = await asyncio.gather(*tasks)
                     expect(
-                        got == [reference.multiply([f], [g])[0]
-                                for f, g in pairs],
+                        got == schoolbook(*zip(*pairs)),
                         "a killed worker corrupted a response",
                     )
                 finally:
@@ -667,8 +669,6 @@ def run_chaos(
                 task_timeout=task_timeout,
                 adaptive=False,
             ) as pool5:
-                plan = ParNegacyclic(n, q, executor=pool5)
-                reference = FastNegacyclic(n, q, psi=plan.psi)
                 asyncio.run(drive(pool5))
                 expect(
                     pool5.stats["restarts"] >= 1,

@@ -38,6 +38,14 @@ from repro.obs import observing
 #: negacyclic transforms at every width.
 WIDTHS = (64, 100, 120, 124)
 
+#: Extra widths around the r52 one-to-two-limb step (50|51 bits), the
+#: r52/dw substrate cutoff (102|103 bits) and the 124-bit ceiling (124 is
+#: in WIDTHS): the fused chain's r52 and dw register files.
+BOUNDARY_WIDTHS = (51, 52, 53, 102, 103, 104, 123)
+
+#: A one-word modulus (narrow packing path) for the conversion tests.
+NARROW_Q = find_ntt_prime(60, 256)
+
 
 def prime_for(bits):
     return find_ntt_prime(bits, 256)
@@ -77,6 +85,78 @@ class TestLimbPrimitives:
             limbs_from_ints([-1])
         with pytest.raises(ArithmeticDomainError):
             limbs_from_ints([1 << 128])
+
+    @staticmethod
+    def general_to_limbs(fm, values):
+        """The ``to_bytes`` packing path plus the range check."""
+        arr = limbs_from_ints(values)
+        fm.check_reduced(arr)
+        return arr
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1, -1, 2],
+            [[1, 2], [3, -4]],
+            [[0.0, 1.0], [2.0, 3.0]],
+            [1, 2.5],
+            [1 << 63, 1],
+            [(1 << 64) + 5],
+            [NARROW_Q, 0],
+            [[0, 1], [(1 << 63) - 1, 2]],
+            [[1, 2], [3]],
+            [[1, 2, 3], [4, 5]],
+        ],
+        ids=[
+            "negative", "negative-batched", "floats", "mixed-float",
+            "two-pow-63", "above-2-pow-64", "equal-q", "below-2-pow-63",
+            "ragged-short", "ragged-long",
+        ],
+    )
+    def test_narrow_pack_rejects_like_general_path(self, values):
+        fm = FastModulus(NARROW_Q)
+        with pytest.raises(ArithmeticDomainError) as general:
+            self.general_to_limbs(fm, values)
+        with pytest.raises(ArithmeticDomainError) as narrow:
+            fm.to_limbs(values)
+        assert str(narrow.value) == str(general.value)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[True, False], [True, 5, False], [[True, 0], [1, False]], True],
+        ids=["all-bool", "bool-and-int", "batched", "scalar"],
+    )
+    def test_narrow_pack_converts_bools_like_general_path(self, values):
+        fm = FastModulus(NARROW_Q)
+        got = fm.to_limbs(values)
+        want = self.general_to_limbs(fm, values)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bits", [62, 63, 64])
+    def test_pack_round_trips_across_the_narrow_gate(self, bits):
+        q = find_ntt_prime(bits, 256)
+        fm = FastModulus(q)
+        rng = random.Random(bits)
+        flat = [0, 1, q - 1] + [rng.randrange(q) for _ in range(29)]
+        rows = [flat, list(reversed(flat))]
+        for values in (flat, rows, q - 1):
+            arr = fm.to_limbs(values)
+            assert np.array_equal(arr, limbs_from_ints(values))
+            assert limbs_to_ints(arr) == values
+
+    @pytest.mark.parametrize(
+        "values",
+        [5, [1, 2, 3], [[1, 2], [3, 4]], 1 << 100, [1, 1 << 100],
+         [[1, 2], [3, 1 << 64]]],
+        ids=["narrow-int", "narrow-flat", "narrow-batched", "wide-int",
+             "wide-flat", "wide-batched"],
+    )
+    def test_unpack_returns_builtin_ints(self, values):
+        got = limbs_to_ints(limbs_from_ints(values))
+        assert got == values
+        items = got if isinstance(got, list) else [got]
+        rows = items if isinstance(items[0], list) else [items]
+        assert all(type(value) is int for row in rows for value in row)
 
     def test_mul_64x64_exhaustive_boundaries(self):
         words = [0, 1, 2, (1 << 32) - 1, 1 << 32, (1 << 63), (1 << 64) - 1]
@@ -199,16 +279,38 @@ class TestFastNttCrossValidation:
             spectrum, q, root=fast.table.root
         )
 
-    @pytest.mark.parametrize("bits", WIDTHS)
+    @pytest.mark.parametrize("bits", WIDTHS + BOUNDARY_WIDTHS)
     def test_negacyclic_polymul_matches_faithful(self, bits):
+        """Fused negacyclic and cyclic products against the faithful engine.
+
+        Flat and ``(batch, n)`` operands, as int lists and as limb arrays.
+        """
         q = prime_for(bits)
         n = 32
         faithful = NegacyclicNtt(n, q, get_backend("scalar"))
         fast = FastNegacyclic(n, q, psi=faithful.psi)
         rng = random.Random(bits * 7)
-        f = random_vector(rng, q, n)
-        g = random_vector(rng, q, n)
-        assert fast.multiply(f, g) == faithful.multiply(f, g)
+        f_rows = [random_vector(rng, q, n) for _ in range(2)]
+        g_rows = [random_vector(rng, q, n) for _ in range(2)]
+
+        def faithful_cyclic(f, g):
+            fa = faithful.plan.forward(f, natural_order=False)
+            ga = faithful.plan.forward(g, natural_order=False)
+            prod = [a * b % q for a, b in zip(fa, ga)]
+            return faithful.plan.inverse(prod, natural_order=False)
+
+        cases = (
+            (fast.multiply, faithful.multiply),
+            (fast.plan.cyclic_multiply, faithful_cyclic),
+        )
+        for fused, reference in cases:
+            want = [reference(f, g) for f, g in zip(f_rows, g_rows)]
+            assert fused(f_rows[0], g_rows[0]) == want[0]
+            assert fused(f_rows, g_rows) == want
+            got = fused(limbs_from_ints(f_rows[0]), limbs_from_ints(g_rows[0]))
+            assert limbs_to_ints(got) == want[0]
+            got = fused(limbs_from_ints(f_rows), limbs_from_ints(g_rows))
+            assert limbs_to_ints(got) == want
 
     def test_batched_equals_unbatched(self):
         q = prime_for(120)
@@ -341,6 +443,20 @@ class TestEngineSwitch:
         assert metrics["engine.fast.elements.ntt.forward"]["value"] == n
         assert metrics["engine.faithful.calls.ntt.forward"]["value"] == 1
         assert metrics["engine.faithful.elements.ntt.forward"]["value"] == n
+        # The kernels inside a fused polymul still count and span.
+        neg = FastNegacyclic(n, q)
+        with observing() as session:
+            neg.multiply([data, data], [data, data])
+            metrics = session.metrics.snapshot()
+            ops = [r.attrs.get("op") for r in session.spans.records]
+        expected = {
+            "ntt.polymul": 1, "ntt.twist": 2, "ntt.forward": 2,
+            "ntt.pointwise": 1, "ntt.inverse": 1, "ntt.untwist": 1,
+        }
+        for op, calls in expected.items():
+            assert metrics[f"engine.fast.calls.{op}"]["value"] == calls
+            assert ops.count(op) == calls
+        assert metrics["engine.fast.elements.ntt.forward"]["value"] == 4 * n
 
     def test_simd_polymul_engines_agree(self):
         from repro.ntt.polymul import simd_ntt_polymul
