@@ -9,9 +9,12 @@ the CI floor of 10x.
 
 A second section races the fast engine's two arithmetic substrates —
 the 52-bit redundant-limb r52 path against the double-word schoolbook
-path — at a two-limb (100-bit) prime, with interleaved timing rounds
-(see ``_duel``) so background load cannot skew the ratio; the r52 NTT
-speedup is gated at ``--min-r52-speedup`` (default 1.5x).
+path — at a two-limb (100-bit) prime and again at 124 bits (three
+limbs), with interleaved timing rounds (see ``_duel``) so background
+load cannot skew the ratio; the two-limb r52 NTT speedup is gated at
+``--min-r52-speedup`` (default 1.5x). The 124-bit rows are recorded,
+not gated: they are the measurements behind the per-kind ``auto``
+table in :mod:`repro.fast.r52`.
 
 Runs two ways:
 
@@ -51,9 +54,9 @@ MIN_R52_NTT_SPEEDUP = 1.5
 NTT_N = 4096
 BLAS_N = 1 << 12
 
-#: Modulus width for the r52 section: a two-limb prime well inside the
-#: substrate's auto range (the headline 124-bit prime above is a
-#: three-limb dw-auto width, so it exercises the other substrate).
+#: Modulus width for the gated r52 section: a two-limb prime, where
+#: ``auto`` picks r52 for every op (the headline 124-bit prime above is
+#: a three-limb width, duelled separately under the ``_124`` keys).
 R52_BITS = 100
 
 
@@ -154,18 +157,28 @@ def run_r52(fast_rounds: int = 5) -> dict:
 
     Both contenders are the *fast engine* — this section measures what
     the redundant-limb substrate buys over the existing double-word
-    arithmetic at a two-limb width, on the same three workloads the
-    tentpole targets: the 4096-point NTT, resident point-wise multiply
-    and resident ``axpy``. Every pair is cross-checked bit-exact before
-    the timings are recorded.
+    arithmetic on the 4096-point NTT, resident point-wise multiply and
+    resident ``axpy``, at a two-limb width (``fast.r52.*``) and at the
+    top of the three-limb range (``fast.r52.*_124``), where ``auto``
+    keeps transforms on r52 but BLAS on dw. Every pair is cross-checked
+    bit-exact before the timings are recorded.
     """
+    values = _substrate_duels(R52_BITS, "", fast_rounds)
+    values.update(_substrate_duels(124, "_124", fast_rounds))
+    return values
+
+
+def _substrate_duels(bits: int, suffix: str, fast_rounds: int) -> dict:
+    """dw-vs-r52 duels at one modulus width; keys carry ``suffix``."""
     from repro.fast.blas import FastBlasPlan
     from repro.fast.limbs import limbs_from_ints, r52_join, r52_split
     from repro.fast.modular import FastModulus
     from repro.fast.ntt import FastNtt
 
-    q = find_ntt_prime(R52_BITS, 1 << 20)
+    q = find_ntt_prime(bits, 1 << 20)
     rng = random.Random(2026)
+    ntt_key = f"fast.r52.ntt4096{suffix}"
+    blas_key = f"fast.r52.blas4096{suffix}"
     values = {}
 
     # --- 4096-point forward NTT (Harvey-lazy stages on r52) ----------
@@ -179,10 +192,10 @@ def run_r52(fast_rounds: int = 5) -> dict:
         fast_rounds,
     )
     if (dw_out != r52_out).any():
-        raise AssertionError("dw and r52 NTT outputs differ")
-    values["fast.r52.ntt4096.dw_s"] = dw_s
-    values["fast.r52.ntt4096.r52_s"] = r52_s
-    values["fast.r52.ntt4096.speedup"] = dw_s / r52_s
+        raise AssertionError(f"dw and r52 NTT outputs differ at {bits} bits")
+    values[f"{ntt_key}.dw_s"] = dw_s
+    values[f"{ntt_key}.r52_s"] = r52_s
+    values[f"{ntt_key}.speedup"] = dw_s / r52_s
 
     x = limbs_from_ints([rng.randrange(q) for _ in range(BLAS_N)])
     y = limbs_from_ints([rng.randrange(q) for _ in range(BLAS_N)])
@@ -201,12 +214,14 @@ def run_r52(fast_rounds: int = 5) -> dict:
         lambda: mod_dw.mulmod(x, y), lambda: sub.mulmod(xp, yp), fast_rounds
     )
     if (dw_out != r52_join(r52_out)).any():
-        raise AssertionError("dw and r52 vector_mul outputs differ")
+        raise AssertionError(
+            f"dw and r52 vector_mul outputs differ at {bits} bits"
+        )
     boundary_s, _ = _best_of(lambda: mod_r52.mulmod(x, y), fast_rounds)
-    values["fast.r52.blas4096.vector_mul.dw_s"] = dw_s
-    values["fast.r52.blas4096.vector_mul.r52_s"] = r52_s
-    values["fast.r52.blas4096.vector_mul.boundary_s"] = boundary_s
-    values["fast.r52.blas4096.vector_mul.speedup"] = dw_s / r52_s
+    values[f"{blas_key}.vector_mul.dw_s"] = dw_s
+    values[f"{blas_key}.vector_mul.r52_s"] = r52_s
+    values[f"{blas_key}.vector_mul.boundary_s"] = boundary_s
+    values[f"{blas_key}.vector_mul.speedup"] = dw_s / r52_s
 
     # --- resident axpy (runtime Shoup constant on the r52 side) ------
     plan_dw = FastBlasPlan(q, mode="dw")
@@ -216,10 +231,10 @@ def run_r52(fast_rounds: int = 5) -> dict:
         fast_rounds,
     )
     if (dw_out != r52_out).any():
-        raise AssertionError("dw and r52 axpy outputs differ")
-    values["fast.r52.blas4096.axpy.dw_s"] = dw_s
-    values["fast.r52.blas4096.axpy.r52_s"] = r52_s
-    values["fast.r52.blas4096.axpy.speedup"] = dw_s / r52_s
+        raise AssertionError(f"dw and r52 axpy outputs differ at {bits} bits")
+    values[f"{blas_key}.axpy.dw_s"] = dw_s
+    values[f"{blas_key}.axpy.r52_s"] = r52_s
+    values[f"{blas_key}.axpy.speedup"] = dw_s / r52_s
     return values
 
 
@@ -254,10 +269,12 @@ def main(argv=None) -> int:
               f"  resident {values[f'fast.blas4096.{op}.resident_s'] * 1e6:.0f}us"
               f" ({values[f'fast.blas4096.{op}.resident_speedup']:.0f}x)")
     r52_ntt = values["fast.r52.ntt4096.speedup"]
-    print(f"r52 vs dw @ {R52_BITS}-bit prime: "
-          f"ntt4096 {r52_ntt:.2f}x"
-          f"  vector_mul {values['fast.r52.blas4096.vector_mul.speedup']:.2f}x"
-          f"  axpy {values['fast.r52.blas4096.axpy.speedup']:.2f}x")
+    for bits, suffix in ((R52_BITS, ""), (124, "_124")):
+        print(f"r52 vs dw @ {bits}-bit prime: "
+              f"ntt4096 {values[f'fast.r52.ntt4096{suffix}.speedup']:.2f}x"
+              f"  vector_mul "
+              f"{values[f'fast.r52.blas4096{suffix}.vector_mul.speedup']:.2f}x"
+              f"  axpy {values[f'fast.r52.blas4096{suffix}.axpy.speedup']:.2f}x")
     print(f"snapshot recorded to {args.snapshot}")
 
     if ntt_speedup < args.min_speedup:

@@ -20,8 +20,10 @@ The fast engine itself has two arithmetic substrates: the double-word
 :mod:`repro.fast.r52` (``"r52"``), which mirrors AVX-512 IFMA's
 ``madd52lo/hi`` split and batches carry propagation once per NTT stage.
 ``mode="auto"`` (the default, overridable via ``REPRO_FAST_MODE``)
-routes to r52 whenever the modulus fits its fast range. See
-``docs/PERFORMANCE.md`` for the design and measured speedups.
+routes by op kind (:data:`~repro.fast.r52.AUTO_R52_MAX_BETA`):
+transforms run on r52 through 124 bits, general-operand BLAS through
+102 bits. See ``docs/PERFORMANCE.md`` for the design and measured
+speedups.
 """
 
 from repro.fast.blas import (
@@ -35,7 +37,7 @@ from repro.fast.limbs import limbs_from_ints, limbs_to_ints, r52_join, r52_split
 from repro.fast.modular import FastModulus
 from repro.fast.ntt import FastNegacyclic, FastNtt, fast_negacyclic_polymul
 from repro.fast.r52 import (
-    AUTO_MAX_BETA,
+    AUTO_R52_MAX_BETA,
     FAST_MODE_ENV,
     FAST_MODES,
     R52Modulus,
@@ -45,7 +47,7 @@ from repro.fast.r52 import (
 )
 
 __all__ = [
-    "AUTO_MAX_BETA",
+    "AUTO_R52_MAX_BETA",
     "FAST_MODE_ENV",
     "FAST_MODES",
     "FastBlasPlan",

@@ -14,9 +14,10 @@ through :func:`run_chain`, whoever the caller is:
   ``cyclic_mul`` shard ops run the same two chains.
 
 The runner keeps intermediate values **resident on the active
-arithmetic substrate**: with an r52 modulus (q <= 102 bits) registers
-stay in 52-bit limb-plane form across every step — one ``from_dw``
-repack per input, one ``to_dw`` per output, rather than per primitive.
+arithmetic substrate**: with an r52 modulus (``auto`` picks one for
+transform plans through 124 bits) registers stay in 52-bit limb-plane
+form across every step — one ``from_dw`` repack per input, one
+``to_dw`` per output, rather than per primitive.
 Every step's mathematical output is a fully reduced canonical residue,
 so chains are bit-exact with the faithful engine by construction. Each
 ntt, twist and pointwise step still counts as one fast-engine kernel

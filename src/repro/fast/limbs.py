@@ -91,19 +91,22 @@ def limbs_to_ints(limbs: np.ndarray) -> Union[int, List[int], List[List[int]]]:
 
     When every high word is zero (any modulus below ``2^64``) the low
     words already are the values, and one ``tolist`` call unpacks them.
+    Otherwise the two word planes are combined as object arrays: NumPy
+    runs ``(hi << 64) | lo`` per element in C, and ``tolist`` then only
+    builds the row lists — no per-element container for the cyclic GC
+    to track.
     """
     if limbs.ndim not in (1, 2, 3):
         raise ArithmeticDomainError(
             f"cannot unpack a limb array of rank {limbs.ndim}"
         )
+    lo = limbs[..., 0]
     if not limbs[..., 1].any():
-        return limbs[..., 0].tolist()
-    if limbs.ndim == 1:
-        lo, hi = limbs.tolist()
-        return (hi << 64) | lo
-    if limbs.ndim == 2:
-        return [(hi << 64) | lo for lo, hi in limbs.tolist()]
-    return [[(hi << 64) | lo for lo, hi in row] for row in limbs.tolist()]
+        return lo.tolist()
+    values = limbs[..., 1].astype(object)
+    np.left_shift(values, 64, out=values)
+    np.bitwise_or(values, lo, out=values)
+    return values.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,9 @@ class FastModulus:
     runs the 128-bit schoolbook path below, ``"r52"`` routes through
     the 52-bit redundant-limb substrate (:mod:`repro.fast.r52`), and
     ``"auto"``/``None`` (optionally via the ``REPRO_FAST_MODE`` env
-    var) picks r52 whenever the modulus fits its two-limb fast range.
+    var) picks r52 through 102 bits, the general-operand (``"blas"``)
+    row of :data:`~repro.fast.r52.AUTO_R52_MAX_BETA`; transform plans
+    resolve their own row and pass the result in.
     Results are bit-identical either way; ``addmod``/``submod`` always
     stay double-word (the repack would cost more than carry chains on
     an add). The public array layout is ``(..., 2)`` uint64 regardless.

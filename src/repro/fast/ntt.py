@@ -26,7 +26,7 @@ from repro.errors import NttParameterError
 from repro.fast.chain import CYCLIC_MUL_STEPS, NEGACYCLIC_MUL_STEPS, run_chain
 from repro.fast.limbs import IntVector, limbs_from_ints, limbs_to_ints
 from repro.fast.modular import FastModulus
-from repro.fast.r52 import R52Ntt
+from repro.fast.r52 import R52Ntt, resolve_fast_mode
 from repro.ntt.twiddles import TwiddleTable, bit_reverse
 from repro.obs.hooks import engine_run_span, record_engine_call, record_r52_call
 from repro.util.checks import check_power_of_two
@@ -46,7 +46,8 @@ class FastNtt:
         mode: Arithmetic substrate — ``"dw"`` (128-bit schoolbook),
             ``"r52"`` (52-bit redundant limbs with Harvey-lazy stages,
             see :mod:`repro.fast.r52`) or ``"auto"``/``None`` (r52
-            whenever the modulus fits its fast range; overridable via
+            through 124 bits, the ``"ntt"`` row of
+            :data:`~repro.fast.r52.AUTO_R52_MAX_BETA`; overridable via
             the ``REPRO_FAST_MODE`` env var). Bit-identical either way.
     """
 
@@ -67,8 +68,12 @@ class FastNtt:
             self.table = table
         else:
             self.table = TwiddleTable.get(n, q, root or 0)
-        self.mod = FastModulus.get(q, mode)
+        self.mod = FastModulus.get(q, resolve_fast_mode(mode, q, "ntt"))
         self.mode = self.mod.mode
+        #: Standalone general-operand products (:meth:`pointwise_mul`)
+        #: follow the ``"blas"`` row of the auto table: at three limbs a
+        #: full r52 Barrett product is slower than dw.
+        self._pointwise_mod = FastModulus.get(q, mode)
         self._r52 = (
             R52Ntt(self.table, self.mod.r52)
             if self.mod.r52 is not None
@@ -130,11 +135,12 @@ class FastNtt:
         """Element-wise spectral product (the convolution-theorem middle)."""
         fa, as_ints = self._coerce(f)
         ga, _ = self._coerce(g)
+        mod = self._pointwise_mod
         record_engine_call("fast", "ntt.pointwise", fa.size // 2)
-        if self._r52 is not None:
+        if mod.r52 is not None:
             record_r52_call("ntt.pointwise", fa.size // 2)
-        with engine_run_span("fast", "ntt.pointwise", fa.size // 2, mode=self.mode):
-            out = self.mod.mulmod(fa, ga)
+        with engine_run_span("fast", "ntt.pointwise", fa.size // 2, mode=mod.mode):
+            out = mod.mulmod(fa, ga)
         return limbs_to_ints(out) if as_ints else out
 
     def cyclic_multiply(self, f: IntMatrix, g: IntMatrix) -> IntMatrix:

@@ -66,12 +66,23 @@ FAST_MODES = ("auto", "r52", "dw")
 #: Environment override for the default substrate selection.
 FAST_MODE_ENV = "REPRO_FAST_MODE"
 
-#: Widest modulus ``auto`` routes to r52. Through 102 bits the whole
-#: pipeline fits two limbs and r52 is a measured win on every op; 103+
-#: bits force a third limb whose extra schoolbook columns erase the win
-#: on general-operand ``mulmod``, so ``auto`` keeps the double-word
-#: substrate there (``mode="r52"`` still forces it, exactly, to 124).
-AUTO_MAX_BETA = 102
+#: Widest modulus (``q.bit_length()``) ``auto`` routes to r52, per op
+#: kind. Through 102 bits everything fits two limbs and r52 wins on
+#: every op. From 103 bits a third limb is needed, and the ops part ways:
+#:
+#: * ``"ntt"`` (transforms, and the fused chains built on them): a
+#:   Shoup twiddle product takes one full limb-plane product and two
+#:   low halves, so the third limb's extra columns cost it little and
+#:   r52 still wins at 124 bits (forward NTT, n=4096: 1.3-1.5x over dw
+#:   for 1-16 rows; 16-row negacyclic product 1.5x);
+#: * ``"blas"`` (general-operand ``mulmod``, the default kind): a
+#:   Barrett product takes two full products, and the extra columns
+#:   erase the win (16-row ``vector_mul`` at 124 bits: dw 21 ms, r52
+#:   26 ms), so it keeps the double-word substrate.
+#:
+#: ``mode="r52"`` still forces r52, exactly, through 124 bits for either
+#: kind; ``bench_fast.py`` duels both substrates at 124 bits.
+AUTO_R52_MAX_BETA = {"ntt": 124, "blas": 102}
 
 #: How many canonical 52-bit limbs one ``uint64`` lane can accumulate
 #: before the deferred-carry sum can wrap: ``2^(64-52)``. This is the
@@ -100,12 +111,16 @@ _SCALE = 2.0 ** -52
 LimbPlanes = List[np.ndarray]
 
 
-def resolve_fast_mode(mode: Optional[str] = None, q: Optional[int] = None) -> str:
+def resolve_fast_mode(
+    mode: Optional[str] = None, q: Optional[int] = None, kind: str = "blas"
+) -> str:
     """Resolve a requested fast-engine mode to ``"r52"`` or ``"dw"``.
 
     ``mode=None`` falls back to the :data:`FAST_MODE_ENV` environment
     variable, then to ``"auto"``; ``"auto"`` picks r52 exactly when
-    ``q.bit_length() <= AUTO_MAX_BETA`` (and ``q`` is given).
+    ``q.bit_length() <= AUTO_R52_MAX_BETA[kind]`` (and ``q`` is given).
+    ``kind`` is ``"ntt"`` for transform plans and ``"blas"`` for
+    general-operand arithmetic.
     """
     if mode is None:
         mode = os.environ.get(FAST_MODE_ENV, "").strip() or "auto"
@@ -116,7 +131,7 @@ def resolve_fast_mode(mode: Optional[str] = None, q: Optional[int] = None) -> st
     if mode == "auto":
         if q is None:
             return "auto"
-        return "r52" if 2 <= q.bit_length() <= AUTO_MAX_BETA else "dw"
+        return "r52" if 2 <= q.bit_length() <= AUTO_R52_MAX_BETA[kind] else "dw"
     return mode
 
 

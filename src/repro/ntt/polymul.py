@@ -58,8 +58,10 @@ def simd_ntt_polymul(
     multiplies point-wise with the backend's ``mulmod``, and inverse
     transforms. A prebuilt ``plan`` (a :class:`SimdNtt` of the right size)
     can be supplied to amortize twiddle precomputation; its engine takes
-    precedence over the ``engine`` argument. With ``engine="fast"`` the
-    transforms and the point-wise multiply run on the vectorized engine.
+    precedence over the ``engine`` argument. With a fast (or parallel)
+    plan the whole product is one fused
+    :meth:`~repro.fast.ntt.FastNtt.cyclic_multiply` chain on the
+    vectorized engine: one pack, one unpack.
     """
     if not f or not g:
         raise NttParameterError("polynomials must be non-empty")
@@ -73,17 +75,17 @@ def simd_ntt_polymul(
             f"plan is for n={plan.n}, q={plan.q}; need n={size}, q={q}"
         )
 
-    fa = plan.forward(f + [0] * (size - len(f)), natural_order=False)
-    ga = plan.forward(g + [0] * (size - len(g)), natural_order=False)
-
+    fp = f + [0] * (size - len(f))
+    gp = g + [0] * (size - len(g))
     if plan.fast_plan is not None:
-        prod = plan.fast_plan.pointwise_mul(fa, ga)
-    else:
-        lanes = backend.lanes
-        prod = []
-        for base in range(0, size, lanes):
-            a = backend.load_block(fa[base : base + lanes])
-            b = backend.load_block(ga[base : base + lanes])
-            prod.extend(backend.store_block(backend.mulmod(a, b, plan.ctx)))
+        return plan.fast_plan.cyclic_multiply(fp, gp)[:out_len]
 
+    fa = plan.forward(fp, natural_order=False)
+    ga = plan.forward(gp, natural_order=False)
+    lanes = backend.lanes
+    prod = []
+    for base in range(0, size, lanes):
+        a = backend.load_block(fa[base : base + lanes])
+        b = backend.load_block(ga[base : base + lanes])
+        prod.extend(backend.store_block(backend.mulmod(a, b, plan.ctx)))
     return plan.inverse(prod, natural_order=False)[:out_len]

@@ -158,6 +158,44 @@ class TestLimbPrimitives:
         rows = items if isinstance(items[0], list) else [items]
         assert all(type(value) is int for row in rows for value in row)
 
+    @pytest.mark.parametrize("bits", [64, 65, 102, 103, 123, 124, 128])
+    def test_unpack_round_trips_every_rank(self, bits):
+        """Two-word unpacking is exact and container-free at every rank.
+
+        Rows mix one-word values (high word zero) with full-width ones,
+        and one row is entirely one-word, so the plane combination must
+        hold element by element rather than row by row.
+        """
+        rng = random.Random(bits)
+        top = (1 << bits) - 1
+        wide = [0, 1, top, (1 << 128) - 1, (1 << 64) - 1, 1 << 64] + [
+            rng.randrange(1 << bits) for _ in range(10)
+        ]
+        narrow = [rng.randrange(1 << 64) for _ in range(len(wide))]
+        rows = [wide, narrow, list(reversed(wide))]
+
+        def check(values):
+            got = limbs_to_ints(limbs_from_ints(values))
+            assert got == values
+            return got
+
+        for value in (0, top, (1 << 128) - 1):
+            assert type(check(value)) is int
+        for got in (check(wide), check(narrow)):
+            assert type(got) is list
+            assert all(type(v) is int for v in got)
+        got = check(rows)
+        assert type(got) is list
+        assert all(type(row) is list for row in got)
+        assert all(type(v) is int for row in got for v in row)
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 2), (0, 0, 2), (3, 0, 2)], ids=["flat", "no-rows", "empty-rows"]
+    )
+    def test_unpack_empty_arrays(self, shape):
+        got = limbs_to_ints(np.zeros(shape, dtype=np.uint64))
+        assert got == np.zeros(shape[:-1]).tolist()
+
     def test_mul_64x64_exhaustive_boundaries(self):
         words = [0, 1, 2, (1 << 32) - 1, 1 << 32, (1 << 63), (1 << 64) - 1]
         a = np.array([x for x in words for _ in words], dtype=np.uint64)

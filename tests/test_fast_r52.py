@@ -25,7 +25,7 @@ from repro.fast.limbs import limbs_from_ints, limbs_to_ints, r52_join, r52_split
 from repro.fast.modular import FastModulus
 from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.fast.r52 import (
-    AUTO_MAX_BETA,
+    AUTO_R52_MAX_BETA,
     FAST_MODE_ENV,
     MAX_DEFERRED_ADDS,
     STAGE_DEFERRED_ADDS,
@@ -174,10 +174,16 @@ class TestNttModes:
 
 class TestModeResolution:
     def test_auto_threshold(self):
-        below = find_ntt_prime(AUTO_MAX_BETA, ORDER)
-        above = find_ntt_prime(AUTO_MAX_BETA + 2, ORDER)
+        # The default kind is general-operand arithmetic ("blas").
+        below = find_ntt_prime(AUTO_R52_MAX_BETA["blas"], ORDER)
+        above = find_ntt_prime(AUTO_R52_MAX_BETA["blas"] + 2, ORDER)
         assert resolve_fast_mode("auto", below) == "r52"
         assert resolve_fast_mode("auto", above) == "dw"
+        assert resolve_fast_mode("auto", above, "blas") == "dw"
+        # Transforms keep r52 through the top of the supported range.
+        assert AUTO_R52_MAX_BETA["ntt"] == 124
+        assert resolve_fast_mode("auto", above, "ntt") == "r52"
+        assert resolve_fast_mode("auto", find_ntt_prime(124, ORDER), "ntt") == "r52"
         assert resolve_fast_mode(None, None) == "auto"
         assert resolve_fast_mode("r52", above) == "r52"
         assert resolve_fast_mode("dw", below) == "dw"
@@ -210,6 +216,90 @@ class TestModeResolution:
         xs = [rng.randrange(q) for _ in range(16)]
         ys = [rng.randrange(q) for _ in range(16)]
         assert fm.mulmod_ints(xs, ys) == [x * y % q for x, y in zip(xs, ys)]
+
+
+#: Three-limb widths where transforms and BLAS resolve ``auto`` apart.
+THREE_LIMB_WIDTHS = (103, 104, 123, 124)
+
+
+class TestPerKindAuto:
+    """``auto`` keeps transforms on r52 through 124 bits, BLAS on dw above 102."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env_override(self, monkeypatch):
+        monkeypatch.delenv(FAST_MODE_ENV, raising=False)
+
+    @pytest.mark.parametrize("bits", THREE_LIMB_WIDTHS)
+    def test_transforms_pick_r52_blas_keeps_dw(self, bits):
+        from repro.fast.blas import FastBlasPlan
+
+        n = 16
+        q = find_ntt_prime(bits, 2 * n)
+        assert FastNtt(n, q).mode == "r52"
+        assert FastNegacyclic(n, q).mode == "r52"
+        assert FastBlasPlan(q).mode == "dw"
+        assert FastModulus(q).mode == "dw"
+
+    @pytest.mark.parametrize("bits", THREE_LIMB_WIDTHS)
+    def test_dw_still_forced_for_transforms(self, bits, monkeypatch):
+        n = 16
+        q = find_ntt_prime(bits, 2 * n)
+        assert FastNtt(n, q, mode="dw").mode == "dw"
+        assert FastNegacyclic(n, q, mode="dw").mode == "dw"
+        monkeypatch.setenv(FAST_MODE_ENV, "dw")
+        assert FastNtt(n, q).mode == "dw"
+        assert FastNegacyclic(n, q).mode == "dw"
+        # An explicit mode still wins over the environment.
+        assert FastNtt(n, q, mode="r52").mode == "r52"
+
+    @pytest.mark.parametrize("bits", THREE_LIMB_WIDTHS)
+    def test_auto_transforms_match_faithful(self, bits):
+        from repro.kernels import get_backend
+        from repro.ntt.negacyclic import NegacyclicNtt
+        from repro.ntt.simd import SimdNtt
+
+        n = 16
+        q = find_ntt_prime(bits, 2 * n)
+        backend = get_backend("scalar")
+        faithful = SimdNtt(n, q, backend)
+        faithful_neg = NegacyclicNtt(n, q, backend)
+        fast = FastNtt(n, q, table=faithful.table)
+        fast_neg = FastNegacyclic(n, q, psi=faithful_neg.psi)
+        assert fast.mode == fast_neg.mode == "r52"
+        rng = random.Random(bits)
+        rows = [_boundary_operands(q, rng, n) for _ in range(3)]
+        other = [list(reversed(row)) for row in rows]
+        for natural in (True, False):
+            spectra = [faithful.forward(r, natural_order=natural) for r in rows]
+            inverses = [faithful.inverse(s, natural_order=natural) for s in spectra]
+            assert fast.forward(rows[0], natural_order=natural) == spectra[0]
+            assert fast.forward(rows, natural_order=natural) == spectra
+            assert fast.inverse(spectra[0], natural_order=natural) == inverses[0]
+            assert fast.inverse(spectra, natural_order=natural) == inverses
+        assert fast.pointwise_mul(rows, other) == [
+            [a * b % q for a, b in zip(f, g)] for f, g in zip(rows, other)
+        ]
+        products = [faithful_neg.multiply(f, g) for f, g in zip(rows, other)]
+        assert fast_neg.multiply(rows[0], other[0]) == products[0]
+        assert fast_neg.multiply(rows, other) == products
+
+    def test_pool_ntt_exact_under_faults_at_124_bits(self):
+        from repro.par import ParallelExecutor, ParNtt
+        from repro.resil.inject import Fault, FaultPlan
+
+        n = 64
+        q = find_ntt_prime(124, 2 * n)
+        rng = random.Random(124)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(4)]
+        want = FastNtt(n, q, mode="dw").forward(rows)
+        with ParallelExecutor(workers=2, task_timeout=20.0) as executor:
+            plan = ParNtt(n, q, executor=executor)
+            assert plan.plan.mode == "r52"
+            executor.inject(FaultPlan({0: Fault("crash"), 1: Fault("corrupt")}))
+            assert plan.forward(rows) == want
+            executor.inject(None)
+            assert executor.stats["retries"] >= 1
+            assert plan.forward(rows) == want
 
 
 class TestModulusMemoization:

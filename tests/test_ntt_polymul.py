@@ -65,3 +65,22 @@ class TestSimdPolymul:
         assert simd_ntt_polymul(f, g, q, backend, algorithm="karatsuba") == (
             schoolbook_polymul(f, g, q)
         )
+
+    @pytest.mark.parametrize("q", [MID_Q, BIG_Q], ids=["q60", "q124"])
+    @pytest.mark.parametrize("lengths", [(13, 29), (32, 1), (5, 60)])
+    def test_fast_engine_is_one_fused_product(self, q, lengths, rng, monkeypatch):
+        import repro.fast.ntt as fast_ntt
+
+        backend = get_backend("mqx")
+        f = random_residues(rng, q, lengths[0])
+        g = random_residues(rng, q, lengths[1])
+        want = schoolbook_polymul(f, g, q)
+        assert ntt_polymul(f, g, q) == want
+        unpacks = []
+        unpack = fast_ntt.limbs_to_ints
+        monkeypatch.setattr(
+            fast_ntt, "limbs_to_ints", lambda a: unpacks.append(a) or unpack(a)
+        )
+        assert simd_ntt_polymul(f, g, q, backend, engine="fast") == want
+        # One cyclic chain: the product leaves the fast engine once.
+        assert len(unpacks) == 1

@@ -23,7 +23,8 @@ from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.par import ParallelExecutor, ParChain, ParNegacyclic
 
 N = 16
-#: r52 substrate (q well under 102 bits) and dw substrate (q above it).
+#: Two-limb prime (r52 for every op) and three-limb prime (id "dw": its
+#: BLAS steps run on dw, its transforms on r52).
 Q_R52 = find_ntt_prime(60, 2 * N)
 Q_DW = find_ntt_prime(118, 2 * N)
 
