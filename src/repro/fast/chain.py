@@ -3,15 +3,17 @@
 A *chain* is a small, serializable program — a list of step dicts over
 named registers — composing the fast engine's primitives (NTT stages,
 psi twists, pointwise products, BLAS ops) without returning to the
-caller between steps. Every convolution the fast engine computes runs
-through :func:`run_chain`, whoever the caller is:
+caller between steps. Every transform and convolution the fast engine
+computes runs through :func:`run_chain`, whoever the caller is:
 
-* in process, :meth:`repro.fast.ntt.FastNegacyclic.multiply` and
-  :meth:`repro.fast.ntt.FastNtt.cyclic_multiply` pack their operands
-  once and run :data:`NEGACYCLIC_MUL_STEPS` / :data:`CYCLIC_MUL_STEPS`;
-* in the pool, :mod:`repro.par.worker` executes a whole chain as **one**
-  task (``op="chain"``), and its built-in ``negacyclic_mul`` /
-  ``cyclic_mul`` shard ops run the same two chains.
+* in process, :class:`repro.fast.ntt.FastNtt` and
+  :class:`repro.fast.ntt.FastNegacyclic` pack their operands once and
+  run a canonical chain (:func:`transform_steps`,
+  :data:`NEGACYCLIC_FORWARD_STEPS`, :data:`CYCLIC_MUL_STEPS`, ...) for
+  every transform and product;
+* in the pool, ``op="chain"`` is the only task :mod:`repro.par.worker`
+  runs: every parallel op, BLAS included, ships as a chain and runs
+  here as **one** task per shard.
 
 The runner keeps intermediate values **resident on the active
 arithmetic substrate**: with an r52 modulus (``auto`` picks one for
@@ -58,6 +60,36 @@ STEP_KINDS = ("ntt", "twist", "pointwise", "blas")
 
 #: Output register every chain must produce.
 OUT_REGISTER = "out"
+
+
+def transform_steps(direction: str, natural: bool) -> tuple:
+    """The one-step chain ``out = NTT(x)`` (``direction`` forward/inverse).
+
+    :meth:`repro.fast.ntt.FastNtt.forward` / ``inverse`` and their pool
+    twins run it; ``natural`` selects natural-order output (forward) or
+    input (inverse), exactly as their ``natural_order`` flag does.
+    """
+    return (
+        {"kind": "ntt", "direction": direction, "natural": bool(natural),
+         "src": "x", "dst": OUT_REGISTER},
+    )
+
+
+#: Twisted forward transform (raw bit-reversed order) — the chain
+#: :meth:`repro.fast.ntt.FastNegacyclic.forward` runs.
+NEGACYCLIC_FORWARD_STEPS = (
+    {"kind": "twist", "which": "twist", "src": "x", "dst": "xt"},
+    {"kind": "ntt", "direction": "forward", "natural": False,
+     "src": "xt", "dst": OUT_REGISTER},
+)
+
+#: Inverse of :data:`NEGACYCLIC_FORWARD_STEPS` (``1/n`` and untwist
+#: included) — the chain :meth:`repro.fast.ntt.FastNegacyclic.inverse` runs.
+NEGACYCLIC_INVERSE_STEPS = (
+    {"kind": "ntt", "direction": "inverse", "natural": False,
+     "src": "x", "dst": "cy"},
+    {"kind": "twist", "which": "untwist", "src": "cy", "dst": OUT_REGISTER},
+)
 
 #: Negacyclic product ``out = x * y mod (x^n + 1, q)`` — the chain
 #: :meth:`repro.fast.ntt.FastNegacyclic.multiply` runs.
@@ -184,23 +216,24 @@ def validate_steps(steps: Sequence[dict], inputs: Sequence[str]) -> None:
 def run_chain(
     steps: Sequence[dict],
     inputs: Dict[str, np.ndarray],
-    ntt: FastNtt,
+    ntt: Optional[FastNtt],
     neg: Optional[FastNegacyclic] = None,
     blas: Optional[FastBlasPlan] = None,
 ) -> np.ndarray:
     """Execute a validated chain; returns the ``"out"`` register (dw form).
 
     ``inputs`` maps register names to ``(..., 2)`` limb arrays (already
-    coerced and range-checked by the caller). With an r52 modulus the
-    register file holds 52-bit limb planes and every NTT/twist/pointwise
-    step stays in plane form; the double-word repack happens once per
-    input register and once for the result. Each step produces fully
-    reduced canonical residues, which is what makes the fused result
-    bit-identical to the faithful engine.
+    coerced and range-checked by the caller). A chain of ``blas`` steps
+    alone needs no transform plan (``ntt=None``, ``blas`` given): it
+    runs on whatever element axis its inputs have. With an r52 modulus
+    the register file holds 52-bit limb planes and every
+    NTT/twist/pointwise step stays in plane form; the double-word
+    repack happens once per input register and once for the result.
+    Each step produces fully reduced canonical residues, which is what
+    makes the fused result bit-identical to the faithful engine.
     """
-    r = ntt.mod.r52
-    use_r52 = r is not None and ntt._r52 is not None
-    bitrev = ntt._bitrev
+    use_r52 = ntt is not None and ntt._r52 is not None
+    r = ntt.mod.r52 if use_r52 else None
     # Tagged register file: ("dw", (..., 2) array) or ("r52", planes).
     regs: Dict[str, tuple] = {
         name: ("dw", arr) for name, arr in inputs.items()
@@ -228,6 +261,7 @@ def run_chain(
         if kind == "ntt":
             inverse = step["direction"] == "inverse"
             natural = bool(step.get("natural", False))
+            bitrev = ntt._bitrev
             src = regs[step["src"]]
             with kernel("ntt.inverse" if inverse else "ntt.forward", src):
                 if use_r52:

@@ -23,7 +23,14 @@ import numpy as np
 from repro.arith.modular import inv_mod
 from repro.arith.primes import root_of_unity
 from repro.errors import NttParameterError
-from repro.fast.chain import CYCLIC_MUL_STEPS, NEGACYCLIC_MUL_STEPS, run_chain
+from repro.fast.chain import (
+    CYCLIC_MUL_STEPS,
+    NEGACYCLIC_FORWARD_STEPS,
+    NEGACYCLIC_INVERSE_STEPS,
+    NEGACYCLIC_MUL_STEPS,
+    run_chain,
+    transform_steps,
+)
 from repro.fast.limbs import IntVector, limbs_from_ints, limbs_to_ints
 from repro.fast.modular import FastModulus
 from repro.fast.r52 import R52Ntt, resolve_fast_mode
@@ -106,30 +113,13 @@ class FastNtt:
 
         Bit-exact with :meth:`repro.ntt.simd.SimdNtt.forward` on every
         kernel backend (raw bit-reversed output unless ``natural_order``).
+        Runs the one-step :func:`~repro.fast.chain.transform_steps` chain.
         """
-        x, as_ints = self._coerce(values)
-        record_engine_call("fast", "ntt.forward", x.size // 2)
-        if self._r52 is not None:
-            record_r52_call("ntt.forward", x.size // 2)
-        with engine_run_span("fast", "ntt.forward", x.size // 2, mode=self.mode):
-            out = self._run_stages(x, inverse=False)
-            if natural_order:
-                out = out[..., self._bitrev, :]
-        return limbs_to_ints(out) if as_ints else out
+        return self._fused(transform_steps("forward", natural_order), values)
 
     def inverse(self, values: IntMatrix, natural_order: bool = True) -> IntMatrix:
         """Inverse NTT including the ``1/n`` scaling (batched-aware)."""
-        x, as_ints = self._coerce(values)
-        record_engine_call("fast", "ntt.inverse", x.size // 2)
-        if self._r52 is not None:
-            record_r52_call("ntt.inverse", x.size // 2)
-        with engine_run_span("fast", "ntt.inverse", x.size // 2, mode=self.mode):
-            if not natural_order:
-                x = x[..., self._bitrev, :]
-            out = self._run_stages(x, inverse=True)
-            out = out[..., self._bitrev, :]
-            out = self.mod.mulmod(out, self._n_inv)
-        return limbs_to_ints(out) if as_ints else out
+        return self._fused(transform_steps("inverse", natural_order), values)
 
     def pointwise_mul(self, f: IntMatrix, g: IntMatrix) -> IntMatrix:
         """Element-wise spectral product (the convolution-theorem middle)."""
@@ -152,12 +142,15 @@ class FastNtt:
         """
         return self._fused(CYCLIC_MUL_STEPS, f, g)
 
-    def _fused(self, steps, f: IntMatrix, g: IntMatrix, neg=None) -> IntMatrix:
-        """Run a two-input chain on ``f``/``g``; ints in, ints out."""
-        fa, as_ints = self._coerce(f)
-        ga, _ = self._coerce(g)
-        out = run_chain(steps, {"x": fa, "y": ga}, self, neg=neg)
-        return limbs_to_ints(out) if as_ints else out
+    def _fused(self, steps, *operands: IntMatrix, neg=None) -> IntMatrix:
+        """Run a chain with ``operands`` bound to ``x``, ``y``.
+
+        Ints in, ints out; limb arrays in, limb arrays out.
+        """
+        coerced = [self._coerce(values) for values in operands]
+        regs = {name: arr for name, (arr, _) in zip(("x", "y"), coerced)}
+        out = run_chain(steps, regs, self, neg=neg)
+        return limbs_to_ints(out) if coerced[0][1] else out
 
     # ------------------------------------------------------------------
     # Internals
@@ -193,12 +186,7 @@ class FastNtt:
         return cached
 
     def _run_stages(self, x: np.ndarray, inverse: bool) -> np.ndarray:
-        if self._r52 is not None:
-            # Native r52 stages: repack once per transform, run every
-            # stage Harvey-lazy with batched carries, repack once back.
-            r = self.mod.r52
-            out = self._r52.run_stages(r.from_dw(x), inverse)
-            return r.to_dw(out)
+        """The dw-substrate stage loop (r52 plans run :class:`R52Ntt`)."""
         half = self.n // 2
         for stage in range(self.table.stages):
             tw = self._stage_twiddles(stage, inverse)
@@ -268,17 +256,11 @@ class FastNegacyclic:
 
     def forward(self, values: IntMatrix) -> IntMatrix:
         """Twisted forward transform (raw bit-reversed order)."""
-        x, as_ints = self.plan._coerce(values)
-        twisted = self.plan.mod.mulmod(x, self._twist)
-        out = self.plan.forward(twisted, natural_order=False)
-        return limbs_to_ints(out) if as_ints else out
+        return self.plan._fused(NEGACYCLIC_FORWARD_STEPS, values, neg=self)
 
     def inverse(self, values: IntMatrix) -> IntMatrix:
         """Inverse of :meth:`forward` (untwist and ``1/n`` included)."""
-        x, as_ints = self.plan._coerce(values)
-        cyclic = self.plan.inverse(x, natural_order=False)
-        out = self.plan.mod.mulmod(cyclic, self._untwist)
-        return limbs_to_ints(out) if as_ints else out
+        return self.plan._fused(NEGACYCLIC_INVERSE_STEPS, values, neg=self)
 
     def multiply(self, f: IntMatrix, g: IntMatrix) -> IntMatrix:
         """Negacyclic product ``f * g mod (x^n + 1, q)`` (batched-aware).

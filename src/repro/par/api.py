@@ -6,7 +6,9 @@ bit-exact results — but execute through a
 :class:`~repro.par.executor.ParallelExecutor`: the batched input is
 staged into shared memory, split into contiguous shards (whole rows for
 transforms, element ranges for BLAS), and each shard is computed by a
-pool worker whose plan and twiddle caches stay warm across calls.
+pool worker whose plan and twiddle caches stay warm across calls. Every
+plan ships its op as a :mod:`repro.fast.chain` program (``op="chain"``,
+built by one helper), the only task the pool runs.
 
 Two axes of parallelism are exposed:
 
@@ -61,20 +63,49 @@ def shard_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
     return bounds
 
 
+def _chain_meta(
+    steps: Sequence[dict],
+    q: int,
+    ntt: Optional[FastNtt] = None,
+    psi: Optional[int] = None,
+) -> dict:
+    """The pool's one task description: ``op="chain"`` running ``steps``.
+
+    Transform chains name their plan (``n``/``root``, plus ``psi`` when
+    they twist); BLAS chains carry only ``q`` and run on the flattened
+    element axis.
+    """
+    steps = [dict(step) for step in steps]
+    meta = {
+        "op": "chain",
+        "q": q,
+        "steps": steps,
+        "inputs": fast_chain.chain_input_names(steps),
+    }
+    if ntt is not None:
+        meta.update(n=ntt.n, root=ntt.table.root)
+    if psi is not None:
+        meta["psi"] = psi
+    return meta
+
+
 def _run_sharded(
     executor: Optional[ParallelExecutor],
-    meta: dict,
+    metas: Sequence[dict],
     axis_key: str,
-    total: int,
     inputs: Dict[str, np.ndarray],
     shape: Sequence[int],
 ) -> np.ndarray:
     """Stage ``inputs`` into shared memory, shard, run, collect the output.
 
-    All input arrays and the output share ``shape``; ``axis_key`` is
-    ``"rows"`` (transforms shard whole batch rows) or ``"elems"`` (BLAS
-    shards the flattened element axis). Segments are always released
-    before returning, even when execution raises.
+    All input arrays and the output share ``shape``, whose first axis is
+    the one sharded: ``axis_key`` is ``"rows"`` (transforms shard whole
+    batch rows) or ``"elems"`` (BLAS shards the flattened element axis).
+    ``metas`` is either one chain meta for the whole batch, cut into
+    :meth:`~repro.par.executor.ParallelExecutor.suggest_shards` pieces,
+    or one meta per row, each row its own shard (the residue rows of an
+    RNS product each have their own ``q``/``psi``/``root``). Segments
+    are always released before returning, even when execution raises.
 
     The ``par.batch`` span brackets staging + run + collection, so a
     profile separates shared-memory copy overhead from pool time.
@@ -85,11 +116,17 @@ def _run_sharded(
     (and the workers' attachment caches) with zero shm syscalls.
     """
     executor = executor or default_executor()
+    total = int(shape[0])
     if total <= 0:
         # Empty batch: the identity-shaped result, with no segment
         # staging and no pool round trip for zero work.
         return np.zeros(tuple(shape), dtype=LIMB_DTYPE)
-    with span("par.batch", op=meta.get("op"), axis=axis_key, total=int(total)):
+    if len(metas) == 1:
+        bounds = shard_bounds(total, executor.suggest_shards(metas[0], total))
+        metas = list(metas) * len(bounds)
+    else:
+        bounds = [(row, row + 1) for row in range(total)]
+    with span("par.batch", axis=axis_key, total=total):
         segments = []
         try:
             names = {}
@@ -101,8 +138,7 @@ def _run_sharded(
                 names[key] = seg.name
             out_seg, out_view = executor.arena.lease(shape)
             segments.append(out_seg)
-            bounds = shard_bounds(total, executor.suggest_shards(meta, total))
-            sums_name, sums_seg = None, None
+            sums_name = None
             if executor.integrity:
                 # One CRC-32 slot per shard, written by the worker right
                 # after its payload and re-verified by the executor on
@@ -112,7 +148,7 @@ def _run_sharded(
                 segments.append(sums_seg)
                 sums_name = sums_seg.name
             specs = []
-            for index, (start, stop) in enumerate(bounds):
+            for index, (meta, (start, stop)) in enumerate(zip(metas, bounds)):
                 spec = dict(meta)
                 spec.update(names)
                 spec["shape"] = list(shape)
@@ -123,8 +159,7 @@ def _run_sharded(
                     spec["sums"] = sums_name
                     spec["sums_len"] = len(bounds)
                 specs.append(spec)
-            if meta.get("op") == "chain":
-                record_fused_chain(len(meta["steps"]), len(bounds))
+            record_fused_chain(len(metas[0]["steps"]), len(specs))
             executor.run(specs)
             executor.audit(specs)
             result = np.array(out_view, copy=True)
@@ -133,6 +168,44 @@ def _run_sharded(
         finally:
             for seg in segments:
                 executor.arena.release(seg)
+
+
+def _run_rows(
+    executor: Optional[ParallelExecutor],
+    label: str,
+    steps: Sequence[dict],
+    operands: Dict[str, IntMatrix],
+    ntt: FastNtt,
+    psi: Optional[int] = None,
+):
+    """Run a transform chain over the pool, sharding batch rows.
+
+    ``operands`` maps the chain's input registers to ``(batch, n)``
+    stacks (or flat ``(n,)`` vectors, run as a one-row batch), coerced
+    like the fast engine's operands; the ``"out"`` register comes back
+    in the same form. ``label`` names the ``engine.parallel.calls.*``
+    counter.
+    """
+    coerced = {name: ntt._coerce(values) for name, values in operands.items()}
+    first, as_ints = next(iter(coerced.values()))
+    flat = first.ndim == 2
+    record_engine_call("parallel", label, first.size // 2)
+    inputs = {
+        name: arr[np.newaxis] if arr.ndim == 2 else arr
+        for name, (arr, _) in coerced.items()
+    }
+    shape = next(iter(inputs.values())).shape
+    for name, arr in inputs.items():
+        if arr.shape != shape:
+            raise NttParameterError(
+                f"chain input {name!r} has shape {arr.shape[:-1]}, "
+                f"expected {shape[:-1]}"
+            )
+    meta = _chain_meta(steps, ntt.q, ntt, psi)
+    out = _run_sharded(executor, [meta], "rows", inputs, shape)
+    if flat:
+        out = out[0]
+    return limbs_to_ints(out) if as_ints else out
 
 
 class ParNtt:
@@ -184,24 +257,13 @@ class ParNtt:
         return self._transform(values, "inverse", natural_order)
 
     def _transform(self, values, direction: str, natural_order: bool):
-        x, as_ints = self.plan._coerce(values)
-        record_engine_call("parallel", f"ntt.{direction}", x.size // 2)
-        flat = x.ndim == 2
-        batch = x[np.newaxis] if flat else x
-        meta = {
-            "op": "ntt",
-            "n": self.plan.n,
-            "q": self.plan.q,
-            "root": self.plan.table.root,
-            "direction": direction,
-            "natural_order": bool(natural_order),
-        }
-        out = _run_sharded(
-            self.executor, meta, "rows", batch.shape[0], {"x": batch}, batch.shape
+        return _run_rows(
+            self.executor,
+            f"ntt.{direction}",
+            fast_chain.transform_steps(direction, natural_order),
+            {"x": values},
+            self.plan,
         )
-        if flat:
-            out = out[0]
-        return limbs_to_ints(out) if as_ints else out
 
     def pointwise_mul(self, f, g):
         """Element-wise spectral product (in-process: one vector pass)."""
@@ -209,29 +271,13 @@ class ParNtt:
 
     def cyclic_multiply(self, f, g):
         """Length-``n`` cyclic convolution, row-sharded over the pool."""
-        fa, as_ints = self.plan._coerce(f)
-        ga, _ = self.plan._coerce(g)
-        record_engine_call("parallel", "ntt.cyclic_mul", fa.size // 2)
-        flat = fa.ndim == 2
-        if flat:
-            fa, ga = fa[np.newaxis], ga[np.newaxis]
-        meta = {
-            "op": "cyclic_mul",
-            "n": self.plan.n,
-            "q": self.plan.q,
-            "root": self.plan.table.root,
-        }
-        out = _run_sharded(
+        return _run_rows(
             self.executor,
-            meta,
-            "rows",
-            fa.shape[0],
-            {"x": fa, "y": ga},
-            fa.shape,
+            "ntt.cyclic_mul",
+            fast_chain.CYCLIC_MUL_STEPS,
+            {"x": f, "y": g},
+            self.plan,
         )
-        if flat:
-            out = out[0]
-        return limbs_to_ints(out) if as_ints else out
 
 
 class ParNegacyclic:
@@ -286,30 +332,14 @@ class ParNegacyclic:
 
     def multiply(self, f, g):
         """Negacyclic product ``f * g mod (x^n + 1, q)``, row-sharded."""
-        fa, as_ints = self.fast.plan._coerce(f)
-        ga, _ = self.fast.plan._coerce(g)
-        record_engine_call("parallel", "ntt.polymul", fa.size // 2)
-        flat = fa.ndim == 2
-        if flat:
-            fa, ga = fa[np.newaxis], ga[np.newaxis]
-        meta = {
-            "op": "negacyclic_mul",
-            "n": self.fast.n,
-            "q": self.fast.q,
-            "psi": self.fast.psi,
-            "root": self.fast.plan.table.root,
-        }
-        out = _run_sharded(
+        return _run_rows(
             self.executor,
-            meta,
-            "rows",
-            fa.shape[0],
-            {"x": fa, "y": ga},
-            fa.shape,
+            "ntt.polymul",
+            fast_chain.NEGACYCLIC_MUL_STEPS,
+            {"x": f, "y": g},
+            self.fast.plan,
+            self.fast.psi,
         )
-        if flat:
-            out = out[0]
-        return limbs_to_ints(out) if as_ints else out
 
     def multiply_add(self, f, g, acc):
         """Fused ``f * g + acc mod (x^n + 1, q)`` — one dispatch per shard.
@@ -319,33 +349,14 @@ class ParNegacyclic:
         round trips, two stagings of the intermediate product); as a
         fused chain the product never leaves the worker.
         """
-        fa, as_ints = self.fast.plan._coerce(f)
-        ga, _ = self.fast.plan._coerce(g)
-        za, _ = self.fast.plan._coerce(acc)
-        record_engine_call("parallel", "ntt.polymul_add", fa.size // 2)
-        flat = fa.ndim == 2
-        if flat:
-            fa, ga, za = fa[np.newaxis], ga[np.newaxis], za[np.newaxis]
-        meta = {
-            "op": "chain",
-            "n": self.fast.n,
-            "q": self.fast.q,
-            "psi": self.fast.psi,
-            "root": self.fast.plan.table.root,
-            "steps": [dict(s) for s in fast_chain.NEGACYCLIC_MUL_ADD_STEPS],
-            "inputs": ["x", "y", "z"],
-        }
-        out = _run_sharded(
+        return _run_rows(
             self.executor,
-            meta,
-            "rows",
-            fa.shape[0],
-            {"x": fa, "y": ga, "z": za},
-            fa.shape,
+            "ntt.polymul_add",
+            fast_chain.NEGACYCLIC_MUL_ADD_STEPS,
+            {"x": f, "y": g, "z": acc},
+            self.fast.plan,
+            self.fast.psi,
         )
-        if flat:
-            out = out[0]
-        return limbs_to_ints(out) if as_ints else out
 
 
 class ParChain:
@@ -417,42 +428,14 @@ class ParChain:
                 f"chain reads input registers {missing} that were not "
                 f"provided (got {sorted(inputs)})"
             )
-        coerced = {}
-        as_ints = False
-        flat = False
-        shape = None
-        for name in needed:
-            arr, ints = self.ntt._coerce(inputs[name])
-            if not coerced:
-                as_ints = ints
-                flat = arr.ndim == 2
-            if arr.ndim == 2:
-                arr = arr[np.newaxis]
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
-                raise NttParameterError(
-                    f"chain input {name!r} has shape {arr.shape[:-1]}, "
-                    f"expected {shape[:-1]}"
-                )
-            coerced[name] = arr
-        record_engine_call("parallel", "chain", coerced[needed[0]].size // 2)
-        meta = {
-            "op": "chain",
-            "n": self.ntt.n,
-            "q": self.ntt.q,
-            "root": self.ntt.table.root,
-            "steps": steps,
-            "inputs": needed,
-        }
-        if self.neg is not None:
-            meta["psi"] = self.neg.psi
-        out = _run_sharded(
-            self.executor, meta, "rows", shape[0], coerced, shape
+        return _run_rows(
+            self.executor,
+            "chain",
+            steps,
+            {name: inputs[name] for name in needed},
+            self.ntt,
+            self.neg.psi if self.neg is not None else None,
         )
-        if flat:
-            out = out[0]
-        return limbs_to_ints(out) if as_ints else out
 
 
 class ParBlasPlan:
@@ -494,21 +477,20 @@ class ParBlasPlan:
     def _sharded(self, blas_op: str, x, y, a: Optional[int] = None):
         xa, ya, as_ints = self.fast._coerce_pair(x, y)
         record_engine_call("parallel", f"blas.{blas_op}", xa.size // 2)
-        shape = xa.shape
+        step = {"kind": "blas", "blas_op": blas_op, "x": "x", "y": "y",
+                "dst": fast_chain.OUT_REGISTER}
+        if a is not None:
+            step["a"] = a
         flat_x = np.ascontiguousarray(xa.reshape(-1, 2))
         flat_y = np.ascontiguousarray(ya.reshape(-1, 2))
-        meta = {"op": "blas", "q": self.q, "blas_op": blas_op}
-        if a is not None:
-            meta["a"] = a
         out = _run_sharded(
             self.executor,
-            meta,
+            [_chain_meta([step], self.q)],
             "elems",
-            flat_x.shape[0],
             {"x": flat_x, "y": flat_y},
             flat_x.shape,
         )
-        out = out.reshape(shape)
+        out = out.reshape(xa.shape)
         return limbs_to_ints(out) if as_ints else out
 
 
@@ -522,7 +504,7 @@ def parallel_rns_mul(
 
     Packs the ``k`` per-prime residue polynomials of both operands into
     single ``(k, n, 2)`` shared segments and dispatches ``k`` one-row
-    convolution shards (negacyclic or cyclic, matching the ring) in a
+    convolution chains (negacyclic or cyclic, matching the ring) in a
     single pool batch — every prime's NTTs run concurrently instead of
     the sequential per-prime loop of the in-process engines.
 
@@ -534,71 +516,21 @@ def parallel_rns_mul(
     k, n = len(primes), ring.n
     fa = limbs_from_ints(f_residues)
     ga = limbs_from_ints(g_residues)
-    # Validate in-process, per prime, so a bad operand fails fast with
-    # the fast engine's error instead of a retried worker failure.
+    steps = (
+        fast_chain.NEGACYCLIC_MUL_STEPS
+        if ring.negacyclic
+        else fast_chain.CYCLIC_MUL_STEPS
+    )
+    metas = []
     for i, q in enumerate(primes):
-        plan = ring._ntt[q]
-        fast_ntt = plan.fast_plan.plan if ring.negacyclic else plan.fast_plan
+        fast_plan = ring._ntt[q].fast_plan
+        fast_ntt = fast_plan.plan if ring.negacyclic else fast_plan
+        # Validate in-process, per prime, so a bad operand fails fast
+        # with the fast engine's error instead of a retried worker failure.
         fast_ntt.mod.check_reduced(fa[i])
         fast_ntt.mod.check_reduced(ga[i])
+        psi = fast_plan.psi if ring.negacyclic else None
+        metas.append(_chain_meta(steps, q, fast_ntt, psi))
     record_engine_call("parallel", "rns.mul", k * n)
-    executor = executor or default_executor()
-    shape = (k, n, 2)
-    segments = []
-    batch_span = span("par.batch", op="rns.mul", axis="rows", total=k)
-    batch_span.__enter__()
-    try:
-        x_seg, x_view = executor.arena.lease(shape)
-        x_view[...] = fa
-        del x_view
-        segments.append(x_seg)
-        y_seg, y_view = executor.arena.lease(shape)
-        y_view[...] = ga
-        del y_view
-        segments.append(y_seg)
-        out_seg, out_view = executor.arena.lease(shape)
-        segments.append(out_seg)
-        sums_name = None
-        if executor.integrity:
-            sums_seg, sums_view = executor.arena.lease((k,))
-            del sums_view
-            segments.append(sums_seg)
-            sums_name = sums_seg.name
-        specs = []
-        for i, q in enumerate(primes):
-            plan = ring._ntt[q]
-            if ring.negacyclic:
-                neg = plan.fast_plan
-                spec = {
-                    "op": "negacyclic_mul",
-                    "n": n,
-                    "q": q,
-                    "psi": neg.psi,
-                    "root": neg.plan.table.root,
-                }
-            else:
-                spec = {
-                    "op": "cyclic_mul",
-                    "n": n,
-                    "q": q,
-                    "root": plan.fast_plan.table.root,
-                }
-            spec.update(
-                x=x_seg.name,
-                y=y_seg.name,
-                out=out_seg.name,
-                shape=list(shape),
-                rows=[i, i + 1],
-            )
-            if sums_name is not None:
-                spec.update(shard_index=i, sums=sums_name, sums_len=k)
-            specs.append(spec)
-        executor.run(specs)
-        executor.audit(specs)
-        out = np.array(out_view, copy=True)
-        del out_view
-    finally:
-        for seg in segments:
-            executor.arena.release(seg)
-        batch_span.__exit__(None, None, None)
+    out = _run_sharded(executor, metas, "rows", {"x": fa, "y": ga}, (k, n, 2))
     return [limbs_to_ints(out[i]) for i in range(k)]

@@ -264,7 +264,7 @@ class ParallelExecutor:
         self._previous_default: Optional["ParallelExecutor"] = None
         #: EWMA of per-item worker compute seconds, keyed by op signature
         #: (feeds adaptive shard sizing).
-        self._compute_ewma: Dict[str, float] = {}
+        self._compute_ewma: Dict[tuple, float] = {}
         self._pin_cpus: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
@@ -506,12 +506,18 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _op_signature(spec: dict) -> str:
-        """History key for adaptive sizing: op + size + chain length."""
-        size = spec.get("n") or spec.get("q") or 0
-        steps = spec.get("steps")
-        suffix = f":{len(steps)}" if steps else ""
-        return f"{spec.get('op')}:{size}{suffix}"
+    def _op_signature(spec: dict) -> tuple:
+        """History key for adaptive sizing: ``n``/``q`` plus the program.
+
+        Each chain step contributes its kind and what sets its cost (an
+        NTT's direction, a BLAS op), so two programs of equal length —
+        say a forward NTT and a ``vector_mul`` — keep separate history.
+        """
+        program = tuple(
+            (step.get("kind"), step.get("direction") or step.get("blas_op"))
+            for step in spec.get("steps") or ()
+        )
+        return (spec.get("n"), spec.get("q"), program)
 
     def suggest_shards(self, meta: dict, total: int) -> int:
         """How many shards a batch of ``total`` items should dispatch.

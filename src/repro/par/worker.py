@@ -1,10 +1,14 @@
 """Worker-side execution of sharded fast-engine tasks.
 
-A worker is a long-lived process pulling task *specs* — small picklable
-dicts naming an operation, its modular parameters, shared-memory segment
-names, and the shard (row or element range) to compute — off a queue.
-All heavy data stays in shared memory; the worker maps it, runs the
-NumPy fast engine on its slice, and writes the result rows in place.
+A worker is a long-lived process pulling task *specs* off a queue. The
+pool speaks one task type: ``op="chain"``, a
+:mod:`repro.fast.chain` program (its ``steps`` and ``inputs``), its
+modular parameters (``q``; ``n``/``root`` for transforms, ``psi`` for
+twists), shared-memory segment names, and the shard (row or element
+range) to compute. Every parallel op — transforms, products, BLAS —
+is such a chain. All heavy data stays in shared memory; the worker
+maps it, runs :func:`repro.fast.chain.run_chain` on its slice, and
+writes the result rows in place.
 
 Per-worker caches keep :class:`~repro.fast.ntt.FastNtt` /
 :class:`~repro.fast.ntt.FastNegacyclic` / :class:`~repro.fast.blas.FastBlasPlan`
@@ -140,7 +144,7 @@ def plan_cache_sizes() -> Dict[str, int]:
     }
 
 
-def _slice(view: np.ndarray, bounds) -> np.ndarray:
+def _slice(view: np.ndarray, bounds: Tuple[int, int]) -> np.ndarray:
     start, stop = bounds
     # Copy out of the shared buffer: the fast engine allocates fresh
     # outputs anyway, and a copy lets the segment unmap immediately.
@@ -165,6 +169,9 @@ def execute_spec(spec: dict, in_worker: bool = False) -> None:
             time.sleep(fault.get("seconds", 0.0))
 
     op = spec["op"]
+    if op != "chain":
+        raise ParallelExecutionError(f"unknown parallel op {op!r}")
+    bounds = resil_integrity.spec_bounds(spec)
     segments = []
     try:
         def attach(name: str):
@@ -180,88 +187,28 @@ def execute_spec(spec: dict, in_worker: bool = False) -> None:
         def view_of(key: str) -> np.ndarray:
             return shm.segment_view(attach(spec[key]), spec["shape"])
 
-        if op == "ntt":
-            with span("par.worker.plan", op=op):
-                plan = ntt_plan(spec["n"], spec["q"], spec["root"])
-            with span("par.worker.map_shm", role="in"):
-                data = _slice(view_of("x"), spec["rows"])
-            with span("par.worker.compute", op=op):
-                if spec["direction"] == "forward":
-                    result = plan.forward(
-                        data, natural_order=spec["natural_order"]
-                    )
-                else:
-                    result = plan.inverse(
-                        data, natural_order=spec["natural_order"]
-                    )
-        elif op == "negacyclic_mul":
-            with span("par.worker.plan", op=op):
+        steps = spec["steps"]
+        with span("par.worker.plan", op=op):
+            neg, plan = None, None
+            if spec.get("psi") is not None:
                 neg = negacyclic_plan(
                     spec["n"], spec["q"], spec["psi"], spec["root"]
                 )
-            with span("par.worker.map_shm", role="in"):
-                regs = {
-                    "x": _slice(view_of("x"), spec["rows"]),
-                    "y": _slice(view_of("y"), spec["rows"]),
-                }
-            with span("par.worker.compute", op=op):
-                # The fused-chain runner keeps every intermediate on the
-                # r52 substrate (one repack per operand instead of one
-                # per NTT/twist/pointwise step); bit-exact either way.
-                result = fast_chain.run_chain(
-                    fast_chain.NEGACYCLIC_MUL_STEPS, regs, neg.plan, neg=neg
-                )
-        elif op == "cyclic_mul":
-            with span("par.worker.plan", op=op):
+                plan = neg.plan
+            elif spec.get("n") is not None:
                 plan = ntt_plan(spec["n"], spec["q"], spec["root"])
-            with span("par.worker.map_shm", role="in"):
-                regs = {
-                    "x": _slice(view_of("x"), spec["rows"]),
-                    "y": _slice(view_of("y"), spec["rows"]),
-                }
-            with span("par.worker.compute", op=op):
-                result = fast_chain.run_chain(
-                    fast_chain.CYCLIC_MUL_STEPS, regs, plan
-                )
-        elif op == "chain":
-            with span("par.worker.plan", op=op):
-                steps = spec["steps"]
-                if spec.get("psi") is not None:
-                    neg = negacyclic_plan(
-                        spec["n"], spec["q"], spec["psi"], spec["root"]
-                    )
-                    plan = neg.plan
-                else:
-                    neg = None
-                    plan = ntt_plan(spec["n"], spec["q"], spec["root"])
-                bl = blas_plan(spec["q"])
-            with span("par.worker.map_shm", role="in"):
-                regs = {
-                    name: _slice(view_of(name), spec["rows"])
-                    for name in spec["inputs"]
-                }
-            with span("par.worker.compute", op=op, steps=len(steps)):
-                result = fast_chain.run_chain(
-                    steps, regs, plan, neg=neg, blas=bl
-                )
-        elif op == "blas":
-            with span("par.worker.plan", op=op):
-                plan = blas_plan(spec["q"])
-            with span("par.worker.map_shm", role="in"):
-                x = _slice(view_of("x"), spec["elems"])
-                y = _slice(view_of("y"), spec["elems"])
-            with span("par.worker.compute", op=op):
-                blas_op = spec["blas_op"]
-                if blas_op == "axpy":
-                    result = plan.axpy(spec["a"], x, y)
-                else:
-                    result = getattr(plan, blas_op)(x, y)
-        else:
-            raise ParallelExecutionError(f"unknown parallel op {op!r}")
-
+            bl = blas_plan(spec["q"])
+        with span("par.worker.map_shm", role="in"):
+            regs = {
+                name: _slice(view_of(name), bounds) for name in spec["inputs"]
+            }
+        with span("par.worker.compute", op=op, steps=len(steps)):
+            # BLAS chains carry no transform plan and run on the flat
+            # element axis; everything else stays resident on the r52
+            # substrate across its steps when the modulus allows it.
+            result = fast_chain.run_chain(steps, regs, plan, neg=neg, blas=bl)
         with span("par.worker.map_shm", role="out"):
             out_view = shm.segment_view(attach(spec["out"]), spec["shape"])
-            bounds = spec["rows"] if "rows" in spec else spec["elems"]
             out_view[bounds[0] : bounds[1]] = result
         if spec.get(resil_integrity.SUMS_KEY) is not None:
             with span("par.worker.checksum"):

@@ -81,61 +81,25 @@ def verify_checksum(spec: dict, out_view: np.ndarray, sums_view: np.ndarray) -> 
 
 
 def _faithful_rows(view: np.ndarray, bounds: Tuple[int, int]) -> List[List[int]]:
+    """A shard's slice as int vectors: one per row, or one for a flat axis.
+
+    A rank-2 ``(E, 2)`` view is the flattened element axis BLAS chains
+    shard, so its slice is audited as one vector.
+    """
     from repro.fast.limbs import limbs_to_ints
 
+    if view.ndim == 2:
+        return [limbs_to_ints(view[bounds[0] : bounds[1]])]
     return [limbs_to_ints(view[i]) for i in range(bounds[0], bounds[1])]
 
 
 def _recompute_faithful(spec: dict, views: Dict[str, np.ndarray]) -> List[List[int]]:
     """One shard's rows, recomputed on the faithful (ISA-simulated) engine."""
-    from repro.blas.ops import BlasPlan
-    from repro.fast.limbs import limbs_to_ints
     from repro.kernels import get_backend
-    from repro.ntt.negacyclic import NegacyclicNtt
-    from repro.ntt.simd import SimdNtt
 
-    backend = get_backend("scalar")
-    op = spec["op"]
-    bounds = spec_bounds(spec)
-    if op == "ntt":
-        plan = SimdNtt(spec["n"], spec["q"], backend, root=spec["root"])
-        method = plan.forward if spec["direction"] == "forward" else plan.inverse
-        return [
-            method(row, natural_order=spec["natural_order"])
-            for row in _faithful_rows(views["x"], bounds)
-        ]
-    if op == "negacyclic_mul":
-        plan = NegacyclicNtt(spec["n"], spec["q"], backend, psi=spec["psi"])
-        return [
-            plan.multiply(f, g)
-            for f, g in zip(
-                _faithful_rows(views["x"], bounds),
-                _faithful_rows(views["y"], bounds),
-            )
-        ]
-    if op == "cyclic_mul":
-        plan = SimdNtt(spec["n"], spec["q"], backend, root=spec["root"])
-        q = spec["q"]
-        out = []
-        for f, g in zip(
-            _faithful_rows(views["x"], bounds), _faithful_rows(views["y"], bounds)
-        ):
-            fa = plan.forward(f, natural_order=False)
-            ga = plan.forward(g, natural_order=False)
-            prod = [a * b % q for a, b in zip(fa, ga)]
-            out.append(plan.inverse(prod, natural_order=False))
-        return out
-    if op == "blas":
-        plan = BlasPlan(spec["q"], backend)
-        x = limbs_to_ints(views["x"][bounds[0] : bounds[1]])
-        y = limbs_to_ints(views["y"][bounds[0] : bounds[1]])
-        blas_op = spec["blas_op"]
-        if blas_op == "axpy":
-            return [plan.axpy(spec["a"], x, y)]
-        return [getattr(plan, blas_op)(x, y)]
-    if op == "chain":
-        return _faithful_chain(spec, views, bounds, backend)
-    raise ResilienceError(f"cannot audit unknown parallel op {op!r}")
+    if spec["op"] != "chain":
+        raise ResilienceError(f"cannot audit unknown parallel op {spec['op']!r}")
+    return _faithful_chain(spec, views, spec_bounds(spec), get_backend("scalar"))
 
 
 def _faithful_chain(
@@ -146,6 +110,7 @@ def _faithful_chain(
 ) -> List[List[int]]:
     """Interpret a fused chain step-by-step on the faithful engine.
 
+    Every pool shard is a chain, so this is the audit's one interpreter.
     Mirrors :func:`repro.fast.chain.run_chain` with every primitive
     replaced by its ISA-simulated (or exact big-int) counterpart:
     :class:`~repro.ntt.simd.SimdNtt` transforms, explicit psi-power
@@ -156,8 +121,10 @@ def _faithful_chain(
     from repro.blas.ops import BlasPlan
     from repro.ntt.simd import SimdNtt
 
-    n, q = int(spec["n"]), int(spec["q"])
-    plan = SimdNtt(n, q, backend, root=spec["root"])
+    q = int(spec["q"])
+    # BLAS chains carry no transform: they run on the flat element axis.
+    n = int(spec.get("n") or 0)
+    plan = SimdNtt(n, q, backend, root=spec["root"]) if n else None
     blas = BlasPlan(q, backend)
     psi = spec.get("psi")
     twist = untwist = None
@@ -165,12 +132,10 @@ def _faithful_chain(
         psi_inv = inv_mod(int(psi), q)
         twist = [pow(int(psi), i, q) for i in range(n)]
         untwist = [pow(psi_inv, i, q) for i in range(n)]
-    input_rows = {
-        name: _faithful_rows(views[name], bounds) for name in spec["inputs"]
-    }
+    names = spec["inputs"]
     out: List[List[int]] = []
-    for row in range(bounds[1] - bounds[0]):
-        regs = {name: rows[row] for name, rows in input_rows.items()}
+    for values in zip(*(_faithful_rows(views[name], bounds) for name in names)):
+        regs = dict(zip(names, values))
         for step in spec["steps"]:
             kind = step["kind"]
             if kind == "ntt":
@@ -244,7 +209,6 @@ def audit_shards(
     Returns the number of shards audited; raises
     :class:`~repro.errors.ResilIntegrityError` on any divergence.
     """
-    from repro.fast.limbs import limbs_to_ints
     from repro.par import shm
 
     attach = attach or shm.attach_segment
@@ -253,32 +217,28 @@ def audit_shards(
         return 0
     for spec in sampled:
         segments = []
+        views: Dict[str, np.ndarray] = {}
         try:
-            views: Dict[str, np.ndarray] = {}
-            keys = list(
-                dict.fromkeys(["x", "y", "out", *(spec.get("inputs") or ())])
-            )
-            for key in keys:
-                if key in spec and isinstance(spec[key], str):
-                    seg = attach(spec[key])
-                    segments.append(seg)
-                    views[key] = shm.segment_view(seg, spec["shape"])
+            for key in ("out", *spec.get("inputs", ())):
+                seg = attach(spec[key])
+                segments.append(seg)
+                views[key] = shm.segment_view(seg, spec["shape"])
             expected = _recompute_faithful(spec, views)
             bounds = spec_bounds(spec)
-            if spec["op"] == "blas":
-                got = [limbs_to_ints(views["out"][bounds[0] : bounds[1]])]
-            else:
-                got = _faithful_rows(views["out"], bounds)
-            del views
+            got = _faithful_rows(views["out"], bounds)
             if got != expected:
                 record_integrity_divergence()
+                kinds = "+".join(step["kind"] for step in spec["steps"])
                 raise ResilIntegrityError(
-                    f"faithful audit diverged for op {spec['op']!r} "
+                    f"faithful audit diverged for chain {kinds} "
                     f"shard {spec.get('shard_index', '?')} "
                     f"(bounds {bounds}): parallel result does not match "
                     f"the faithful engine"
                 )
         finally:
+            # Drop the views before unmapping: a view left alive by an
+            # exception would point at unmapped pages.
+            views.clear()
             for seg in segments:
                 shm.detach_segment(seg)
     record_integrity_audit(len(sampled))

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.arith.primes import find_ntt_prime
+from repro.fast import chain as fast_chain
 from repro.fast.limbs import limbs_from_ints
 from repro.fast.ntt import FastNtt
 from repro.obs import dist, observing
@@ -128,12 +129,12 @@ def _ntt_spec(data, root, extra=None):
     seg_out, view = shm.create_segment(data.shape)
     del view
     spec = {
-        "op": "ntt",
+        "op": "chain",
         "n": N,
         "q": Q,
         "root": root,
-        "direction": "forward",
-        "natural_order": True,
+        "steps": list(fast_chain.transform_steps("forward", True)),
+        "inputs": ["x"],
         "shape": list(data.shape),
         "rows": [0, data.shape[0]],
         "x": seg_x.name,

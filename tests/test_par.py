@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.arith.primes import find_ntt_prime
 from repro.errors import ArithmeticDomainError, ParallelExecutionError
+from repro.fast import chain as fast_chain
 from repro.fast.blas import FastBlasPlan
 from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.kernels import get_backend
@@ -290,6 +291,27 @@ class TestFaultTolerance:
             ParallelExecutor(task_timeout=0)
         with pytest.raises(ParallelExecutionError):
             ParallelExecutor(retries=-1)
+
+
+class TestAdaptiveSizing:
+    def test_equal_length_chains_keep_separate_history(self):
+        executor = ParallelExecutor(workers=2)
+        base = {"op": "chain", "n": N, "q": Q, "rows": [0, 4]}
+        forward = dict(base, steps=list(fast_chain.transform_steps("forward", True)))
+        inverse = dict(base, steps=list(fast_chain.transform_steps("inverse", True)))
+        vector_mul = dict(base, steps=[{
+            "kind": "blas", "blas_op": "vector_mul",
+            "x": "x", "y": "y", "dst": "out",
+        }])
+        # Only the cheap vector_mul has history, and it asks for one
+        # shard; the one-step NTT programs keep the full split.
+        executor._note_compute(vector_mul, 4e-6, None)
+        assert executor.suggest_shards(vector_mul, 4) == 1
+        assert executor.suggest_shards(forward, 4) == 2
+        assert executor.suggest_shards(inverse, 4) == 2
+        executor._note_compute(forward, 4e-6, None)
+        assert executor.suggest_shards(inverse, 4) == 2
+        executor.close()
 
 
 class TestEmptyBatch:

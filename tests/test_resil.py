@@ -19,11 +19,19 @@ from hypothesis import strategies as st
 
 from repro.arith.primes import find_ntt_prime
 from repro.errors import ResilienceError, ResilIntegrityError
+from repro.fast import chain as fast_chain
 from repro.fast.blas import FastBlasPlan
-from repro.fast.ntt import FastNtt
+from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.kernels import get_backend
 from repro.obs import observing
-from repro.par import ParallelExecutor, ParBlasPlan, ParNtt, shm
+from repro.par import (
+    ParallelExecutor,
+    ParBlasPlan,
+    ParNegacyclic,
+    ParNtt,
+    parallel_rns_mul,
+    shm,
+)
 from repro.resil import (
     CircuitBreaker,
     Deadline,
@@ -35,6 +43,8 @@ from repro.resil import (
 from repro.resil import degrade
 from repro.resil.inject import strip_transient_fault
 from repro.resil.policy import BREAKER_STATES
+from repro.rns.basis import RnsBasis
+from repro.rns.poly import RnsPolynomialRing
 
 N = 16
 Q = find_ntt_prime(62, 2 * N)
@@ -317,6 +327,64 @@ class TestFaultPlan:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def audit_pool():
+    executor = ParallelExecutor(
+        workers=2, task_timeout=20.0, integrity=False, audit_fraction=1.0
+    )
+    executor.start()
+    yield executor
+    executor.close()
+
+
+_F, _G = _vectors(40), _vectors(41)
+_RNS_BASIS = RnsBasis.generate(3, 62, 2 * N)
+_RNS_RING = RnsPolynomialRing(
+    N, _RNS_BASIS, get_backend("scalar"), engine="parallel"
+)
+_RNS_F = [[v % p for v in _F[0]] for p in _RNS_BASIS.primes]
+_RNS_G = [[v % p for v in _G[0]] for p in _RNS_BASIS.primes]
+
+#: case -> (run it on an audited pool, its fast-engine reference).
+_AUDIT_CASES = {
+    "ntt-inverse-bitrev": (
+        lambda ex: ParNtt(N, Q, executor=ex).inverse(_F, natural_order=False),
+        lambda: FastNtt(N, Q).inverse(_F, natural_order=False),
+    ),
+    "cyclic-mul": (
+        lambda ex: ParNtt(N, Q, executor=ex).cyclic_multiply(_F, _G),
+        lambda: FastNtt(N, Q).cyclic_multiply(_F, _G),
+    ),
+    "negacyclic-mul": (
+        lambda ex: ParNegacyclic(N, Q, executor=ex).multiply(_F, _G),
+        lambda: FastNegacyclic(N, Q).multiply(_F, _G),
+    ),
+    "blas-vector_add": (
+        lambda ex: ParBlasPlan(Q, executor=ex).vector_add(_F, _G),
+        lambda: FastBlasPlan(Q).vector_add(_F, _G),
+    ),
+    "blas-vector_sub": (
+        lambda ex: ParBlasPlan(Q, executor=ex).vector_sub(_F, _G),
+        lambda: FastBlasPlan(Q).vector_sub(_F, _G),
+    ),
+    "blas-vector_mul": (
+        lambda ex: ParBlasPlan(Q, executor=ex).vector_mul(_F, _G),
+        lambda: FastBlasPlan(Q).vector_mul(_F, _G),
+    ),
+    "blas-axpy": (
+        lambda ex: ParBlasPlan(Q, executor=ex).axpy(12345, _F, _G),
+        lambda: FastBlasPlan(Q).axpy(12345, _F, _G),
+    ),
+    "rns-mul": (
+        lambda ex: parallel_rns_mul(_RNS_RING, _RNS_F, _RNS_G, executor=ex),
+        lambda: [
+            FastNegacyclic(N, p).multiply(f, g)
+            for p, f, g in zip(_RNS_BASIS.primes, _RNS_F, _RNS_G)
+        ],
+    ),
+}
+
+
 class TestIntegrity:
     def _segment_with(self, batch):
         import numpy as np
@@ -356,9 +424,9 @@ class TestIntegrity:
         x_seg, x_view, shape = self._segment_with(batch)
         out_seg, out_view, _ = self._segment_with(fast.forward(batch))
         spec = {
-            "op": "ntt", "n": n, "q": q, "root": fast.table.root,
-            "direction": "forward", "natural_order": True,
-            "shape": list(shape), "rows": [0, 2],
+            "op": "chain", "n": n, "q": q, "root": fast.table.root,
+            "steps": list(fast_chain.transform_steps("forward", True)),
+            "inputs": ["x"], "shape": list(shape), "rows": [0, 2],
             "x": x_seg.name, "out": out_seg.name, "shard_index": 0,
         }
         try:
@@ -370,6 +438,21 @@ class TestIntegrity:
             del x_view, out_view
             shm.release_segment(x_seg)
             shm.release_segment(out_seg)
+
+    @pytest.mark.parametrize("case", sorted(_AUDIT_CASES))
+    def test_audit_covers_every_parallel_op(self, audit_pool, case):
+        # Checksums off, so a corrupted word survives collection and only
+        # the faithful audit (every shard, fraction 1.0) can catch it.
+        run, reference = _AUDIT_CASES[case]
+        before = audit_pool.stats["audited"]
+        assert run(audit_pool) == reference()
+        assert audit_pool.stats["audited"] > before
+        audit_pool.inject(FaultPlan({0: Fault("corrupt")}))
+        try:
+            with pytest.raises(ResilIntegrityError):
+                run(audit_pool)
+        finally:
+            audit_pool.inject(None)
 
     def test_sample_specs_is_seeded_and_never_empty(self):
         from repro.resil.integrity import sample_specs
