@@ -13,8 +13,10 @@ path — at a two-limb (100-bit) prime and again at 124 bits (three
 limbs), with interleaved timing rounds (see ``_duel``) so background
 load cannot skew the ratio; the two-limb r52 NTT speedup is gated at
 ``--min-r52-speedup`` (default 1.5x). The 124-bit rows are recorded,
-not gated: they are the measurements behind the per-kind ``auto``
-table in :mod:`repro.fast.r52`.
+not gated: they are the measurements behind the substrate rule in
+:mod:`repro.fast.r52` (transforms always on r52, general-operand
+products on r52 only through 102 bits). ``FastNtt`` has no dw stage
+loop, so the NTT contender is :func:`_dw_forward`, kept here.
 
 Runs two ways:
 
@@ -159,13 +161,35 @@ def run_r52(fast_rounds: int = 5) -> dict:
     the redundant-limb substrate buys over the existing double-word
     arithmetic on the 4096-point NTT, resident point-wise multiply and
     resident ``axpy``, at a two-limb width (``fast.r52.*``) and at the
-    top of the three-limb range (``fast.r52.*_124``), where ``auto``
-    keeps transforms on r52 but BLAS on dw. Every pair is cross-checked
+    top of the three-limb range (``fast.r52.*_124``), where transforms
+    still run on r52 but ``auto`` BLAS is dw. Every pair is cross-checked
     bit-exact before the timings are recorded.
     """
     values = _substrate_duels(R52_BITS, "", fast_rounds)
     values.update(_substrate_duels(124, "_124", fast_rounds))
     return values
+
+
+def _dw_forward(mod, stage_twiddles, bitrev, data):
+    """Forward NTT (natural order) on the double-word substrate.
+
+    The NTT duel's contender: the Pease dataflow of
+    :class:`repro.fast.r52.R52Ntt`, with one ``mulmod``/``addmod``/
+    ``submod`` triple of the dw :class:`~repro.fast.modular.FastModulus`
+    per stage and the same operand range check ``FastNtt.forward`` does.
+    """
+    import numpy as np
+
+    mod.check_reduced(data)
+    half = data.shape[-2] // 2
+    x = data
+    for tw in stage_twiddles:
+        top = x[..., :half, :]
+        t = mod.mulmod(x[..., half:, :], tw)
+        x = np.empty_like(x)
+        x[..., 0::2, :] = mod.addmod(top, t)
+        x[..., 1::2, :] = mod.submod(top, t)
+    return x[..., bitrev, :]
 
 
 def _substrate_duels(bits: int, suffix: str, fast_rounds: int) -> dict:
@@ -183,12 +207,16 @@ def _substrate_duels(bits: int, suffix: str, fast_rounds: int) -> dict:
 
     # --- 4096-point forward NTT (Harvey-lazy stages on r52) ----------
     data = limbs_from_ints([rng.randrange(q) for _ in range(NTT_N)])
-    ntt_dw = FastNtt(NTT_N, q, mode="dw")
-    ntt_r52 = FastNtt(NTT_N, q, mode="r52")
-    ntt_dw.forward(data)  # warm twiddle + Shoup caches before timing
-    ntt_r52.forward(data)
+    ntt = FastNtt(NTT_N, q)
+    mod_dw = FastModulus.get(q, "dw")
+    stage_tw = [
+        limbs_from_ints(ntt.table.pease_stage_twiddles(stage))
+        for stage in range(ntt.table.stages)
+    ]
+    ntt.forward(data)  # warm the Shoup caches before timing
     dw_s, r52_s, dw_out, r52_out = _duel(
-        lambda: ntt_dw.forward(data), lambda: ntt_r52.forward(data),
+        lambda: _dw_forward(mod_dw, stage_tw, ntt._bitrev, data),
+        lambda: ntt.forward(data),
         fast_rounds,
     )
     if (dw_out != r52_out).any():
@@ -200,7 +228,6 @@ def _substrate_duels(bits: int, suffix: str, fast_rounds: int) -> dict:
     x = limbs_from_ints([rng.randrange(q) for _ in range(BLAS_N)])
     y = limbs_from_ints([rng.randrange(q) for _ in range(BLAS_N)])
     a = rng.randrange(q)
-    mod_dw = FastModulus.get(q, "dw")
     mod_r52 = FastModulus.get(q, "r52")
     sub = mod_r52.r52
 

@@ -8,7 +8,7 @@ here by blocking a residue vector over one kernel backend.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import ArithmeticDomainError
 from repro.kernels.backend import Backend, ModulusContext
@@ -30,10 +30,7 @@ class BlasPlan:
     engine (:mod:`repro.fast`) instead of the ISA simulator — identical
     results, whole-vector execution (see docs/PERFORMANCE.md). With
     ``engine="parallel"`` the element range is additionally sharded
-    across the :mod:`repro.par` worker pool. ``fast_mode`` selects the
-    fast engine's arithmetic substrate (``"dw"``/``"r52"``/``"auto"``,
-    see :class:`repro.fast.modular.FastModulus`); the faithful engine
-    ignores it.
+    across the :mod:`repro.par` worker pool.
     """
 
     def __init__(
@@ -42,7 +39,6 @@ class BlasPlan:
         backend: Backend,
         algorithm: str = "schoolbook",
         engine: str = "faithful",
-        fast_mode: Optional[str] = None,
     ) -> None:
         self.q = q
         self.backend = backend
@@ -64,7 +60,7 @@ class BlasPlan:
 
             #: The vectorized twin plan (checks operands vectorized, so
             #: the per-element Python validation loop is skipped).
-            self.fast_plan = FastBlasPlan(q, mode=fast_mode)
+            self.fast_plan = FastBlasPlan(q)
         else:
             self.fast_plan = None
         if engine == "parallel":
@@ -98,46 +94,53 @@ class BlasPlan:
             out.extend(backend.store_block(method(a, b, self.ctx)))
         return out
 
-    def _fast_lengths(self, x: Sequence[int], y: Sequence[int]) -> None:
-        """Fast-path argument shape checks (values are checked vectorized)."""
+    def _fast_twin(self, x: Sequence[int], y: Sequence[int]):
+        """The fast or parallel twin plan, after its shape checks.
+
+        ``None`` on the faithful engine. Values are range-checked
+        vectorized by the twin; the lane rule applies to the row
+        length: ``len(x)`` for a flat vector, the row width for a
+        ``(batch, n)`` stack, ``n`` for a ``(..., n, 2)`` limb array.
+        """
+        twin = self.par_plan if self.par_plan is not None else self.fast_plan
+        if twin is None:
+            return None
         if len(x) != len(y):
             raise ArithmeticDomainError(
                 f"vector length mismatch: {len(x)} vs {len(y)}"
             )
-        check_vector_length(len(x), self.backend.lanes)
+        if getattr(x, "ndim", 0) >= 2:
+            row = x.shape[-2]
+        elif len(x) and not isinstance(x[0], int):
+            row = len(x[0])
+        else:
+            row = len(x)
+        check_vector_length(row, self.backend.lanes)
+        return twin
 
     def vector_add(self, x: Sequence[int], y: Sequence[int]) -> List[int]:
         """Point-wise ``(x + y) mod q``."""
-        if self.par_plan is not None:
-            self._fast_lengths(x, y)
-            return self.par_plan.vector_add(x, y)
-        if self.fast_plan is not None:
-            self._fast_lengths(x, y)
-            return self.fast_plan.vector_add(x, y)
+        twin = self._fast_twin(x, y)
+        if twin is not None:
+            return twin.vector_add(x, y)
         record_engine_call("faithful", "blas.vector_add", len(x))
         self._check(x, y)
         return self._blocked(x, y, "addmod")
 
     def vector_sub(self, x: Sequence[int], y: Sequence[int]) -> List[int]:
         """Point-wise ``(x - y) mod q``."""
-        if self.par_plan is not None:
-            self._fast_lengths(x, y)
-            return self.par_plan.vector_sub(x, y)
-        if self.fast_plan is not None:
-            self._fast_lengths(x, y)
-            return self.fast_plan.vector_sub(x, y)
+        twin = self._fast_twin(x, y)
+        if twin is not None:
+            return twin.vector_sub(x, y)
         record_engine_call("faithful", "blas.vector_sub", len(x))
         self._check(x, y)
         return self._blocked(x, y, "submod")
 
     def vector_mul(self, x: Sequence[int], y: Sequence[int]) -> List[int]:
         """Point-wise ``(x * y) mod q`` (the gemv special case)."""
-        if self.par_plan is not None:
-            self._fast_lengths(x, y)
-            return self.par_plan.vector_mul(x, y)
-        if self.fast_plan is not None:
-            self._fast_lengths(x, y)
-            return self.fast_plan.vector_mul(x, y)
+        twin = self._fast_twin(x, y)
+        if twin is not None:
+            return twin.vector_mul(x, y)
         record_engine_call("faithful", "blas.vector_mul", len(x))
         self._check(x, y)
         return self._blocked(x, y, "mulmod")
@@ -145,12 +148,9 @@ class BlasPlan:
     def axpy(self, a: int, x: Sequence[int], y: Sequence[int]) -> List[int]:
         """BLAS Level 1 ``axpy``: ``(a * x + y) mod q`` for scalar ``a``."""
         check_reduced(a, self.q, "a")
-        if self.par_plan is not None:
-            self._fast_lengths(x, y)
-            return self.par_plan.axpy(a, x, y)
-        if self.fast_plan is not None:
-            self._fast_lengths(x, y)
-            return self.fast_plan.axpy(a, x, y)
+        twin = self._fast_twin(x, y)
+        if twin is not None:
+            return twin.axpy(a, x, y)
         record_engine_call("faithful", "blas.axpy", len(x))
         self._check(x, y)
         backend = self.backend

@@ -19,11 +19,12 @@ The fast engine itself has two arithmetic substrates: the double-word
 (``"dw"``) schoolbook path and the 52-bit redundant-limb path of
 :mod:`repro.fast.r52` (``"r52"``), which mirrors AVX-512 IFMA's
 ``madd52lo/hi`` split and batches carry propagation once per NTT stage.
-``mode="auto"`` (the default, overridable via ``REPRO_FAST_MODE``)
-routes by op kind (:data:`~repro.fast.r52.AUTO_R52_MAX_BETA`):
-transforms run on r52 through 124 bits, general-operand BLAS through
-102 bits. See ``docs/PERFORMANCE.md`` for the design and measured
-speedups.
+One rule picks between them: transforms (and every chain built on them)
+always run on r52; general-operand products (BLAS) run on r52 through
+:data:`~repro.fast.r52.R52_AUTO_MAX_BETA` (102) bits and on dw above.
+Only :class:`FastModulus` and :class:`FastBlasPlan` take ``mode=``, so
+benchmarks can force either substrate. See ``docs/PERFORMANCE.md`` for
+the design and measured speedups.
 """
 
 from repro.fast.blas import (
@@ -37,23 +38,21 @@ from repro.fast.limbs import limbs_from_ints, limbs_to_ints, r52_join, r52_split
 from repro.fast.modular import FastModulus
 from repro.fast.ntt import FastNegacyclic, FastNtt, fast_negacyclic_polymul
 from repro.fast.r52 import (
-    AUTO_R52_MAX_BETA,
-    FAST_MODE_ENV,
     FAST_MODES,
+    R52_AUTO_MAX_BETA,
     R52Modulus,
     R52Ntt,
     get_r52_modulus,
-    resolve_fast_mode,
+    resolve_substrate,
 )
 
 __all__ = [
-    "AUTO_R52_MAX_BETA",
-    "FAST_MODE_ENV",
     "FAST_MODES",
     "FastBlasPlan",
     "FastModulus",
     "FastNegacyclic",
     "FastNtt",
+    "R52_AUTO_MAX_BETA",
     "R52Modulus",
     "R52Ntt",
     "fast_axpy",
@@ -66,5 +65,5 @@ __all__ = [
     "limbs_to_ints",
     "r52_join",
     "r52_split",
-    "resolve_fast_mode",
+    "resolve_substrate",
 ]

@@ -31,9 +31,11 @@ class FastBlasPlan:
     :meth:`FastModulus.get`), then serves add/sub/mul/axpy over
     arbitrarily long (and batched) vectors. ``mode`` selects the
     arithmetic substrate for the multiplicative ops (see
-    :class:`FastModulus`); on r52, ``axpy`` additionally derives a
-    Shoup constant for its scalar and runs the cheaper
-    precomputed-multiplicand product.
+    :class:`FastModulus`); the default ``auto`` is what every caller
+    uses, and forcing ``"r52"`` or ``"dw"`` exists for the substrate
+    duels in ``benchmarks/bench_fast.py`` that justify the 102-bit
+    cutoff. On r52, ``axpy`` additionally derives a Shoup constant for
+    its scalar and runs the cheaper precomputed-multiplicand product.
     """
 
     def __init__(self, q: int, mode: Optional[str] = None) -> None:

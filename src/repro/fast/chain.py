@@ -15,11 +15,10 @@ computes runs through :func:`run_chain`, whoever the caller is:
   runs: every parallel op, BLAS included, ships as a chain and runs
   here as **one** task per shard.
 
-The runner keeps intermediate values **resident on the active
-arithmetic substrate**: with an r52 modulus (``auto`` picks one for
-transform plans through 124 bits) registers stay in 52-bit limb-plane
-form across every step — one ``from_dw`` repack per input, one
-``to_dw`` per output, rather than per primitive.
+The runner keeps intermediate values **resident on the r52
+substrate**, the only one transforms run on: registers stay in 52-bit
+limb-plane form across every step — one ``from_dw`` repack per input,
+one ``to_dw`` per output, rather than per primitive.
 Every step's mathematical output is a fully reduced canonical residue,
 so chains are bit-exact with the faithful engine by construction. Each
 ntt, twist and pointwise step still counts as one fast-engine kernel
@@ -225,15 +224,14 @@ def run_chain(
     ``inputs`` maps register names to ``(..., 2)`` limb arrays (already
     coerced and range-checked by the caller). A chain of ``blas`` steps
     alone needs no transform plan (``ntt=None``, ``blas`` given): it
-    runs on whatever element axis its inputs have. With an r52 modulus
-    the register file holds 52-bit limb planes and every
-    NTT/twist/pointwise step stays in plane form; the double-word
-    repack happens once per input register and once for the result.
-    Each step produces fully reduced canonical residues, which is what
-    makes the fused result bit-identical to the faithful engine.
+    runs on whatever element axis its inputs have. Every
+    NTT/twist/pointwise step runs on the plan's r52 substrate and keeps
+    its result in 52-bit limb-plane form; the double-word repack happens
+    once per input register and once for the result. Each step produces
+    fully reduced canonical residues, which is what makes the fused
+    result bit-identical to the faithful engine.
     """
-    use_r52 = ntt is not None and ntt._r52 is not None
-    r = ntt.mod.r52 if use_r52 else None
+    r = ntt.mod.r52 if ntt is not None else None
     # Tagged register file: ("dw", (..., 2) array) or ("r52", planes).
     regs: Dict[str, tuple] = {
         name: ("dw", arr) for name, arr in inputs.items()
@@ -252,9 +250,8 @@ def run_chain(
         tag, val = value
         elements = val.size // 2 if tag == "dw" else val[0].size
         record_engine_call("fast", op, elements)
-        if use_r52:
-            record_r52_call(op, elements)
-        return engine_run_span("fast", op, elements, mode=ntt.mode)
+        record_r52_call(op, elements)
+        return engine_run_span("fast", op, elements, mode="r52")
 
     for step in steps:
         kind = step["kind"]
@@ -264,60 +261,34 @@ def run_chain(
             bitrev = ntt._bitrev
             src = regs[step["src"]]
             with kernel("ntt.inverse" if inverse else "ntt.forward", src):
-                if use_r52:
-                    planes = as_r52(src)
-                    if inverse:
-                        if not natural:
-                            planes = [p[..., bitrev] for p in planes]
-                        planes = ntt._r52.run_stages(planes, True)
+                planes = as_r52(src)
+                if inverse:
+                    if not natural:
                         planes = [p[..., bitrev] for p in planes]
-                        planes = r.mulmod_shoup(planes, ntt._r52_n_inv_pair())
-                    else:
-                        planes = ntt._r52.run_stages(planes, False)
-                        if natural:
-                            planes = [p[..., bitrev] for p in planes]
-                    regs[step["dst"]] = ("r52", planes)
+                    planes = ntt._r52.run_stages(planes, True)
+                    planes = [p[..., bitrev] for p in planes]
+                    planes = r.mulmod_shoup(planes, ntt._n_inv_shoup)
                 else:
-                    x = as_dw(src)
-                    if inverse:
-                        if not natural:
-                            x = x[..., bitrev, :]
-                        x = ntt._run_stages(x, True)
-                        x = x[..., bitrev, :]
-                        x = ntt.mod.mulmod(x, ntt._n_inv)
-                    else:
-                        x = ntt._run_stages(x, False)
-                        if natural:
-                            x = x[..., bitrev, :]
-                    regs[step["dst"]] = ("dw", x)
+                    planes = ntt._r52.run_stages(planes, False)
+                    if natural:
+                        planes = [p[..., bitrev] for p in planes]
+                regs[step["dst"]] = ("r52", planes)
         elif kind == "twist":
             if neg is None:
                 raise NttParameterError(
                     "chain has a twist step but no negacyclic plan (psi)"
                 )
-            untwist = step["which"] == "untwist"
             src = regs[step["src"]]
             with kernel(f"ntt.{step['which']}", src):
-                if use_r52:
-                    pair = (
-                        neg._r52_untwist_pair() if untwist
-                        else neg._r52_twist_pair()
-                    )
-                    regs[step["dst"]] = (
-                        "r52", r.mulmod_shoup(as_r52(src), pair)
-                    )
-                else:
-                    tw = neg._untwist if untwist else neg._twist
-                    regs[step["dst"]] = ("dw", ntt.mod.mulmod(as_dw(src), tw))
+                pair = (
+                    neg._r52_untwist_pair() if step["which"] == "untwist"
+                    else neg._r52_twist_pair()
+                )
+                regs[step["dst"]] = ("r52", r.mulmod_shoup(as_r52(src), pair))
         elif kind == "pointwise":
             a, b = regs[step["a"]], regs[step["b"]]
             with kernel("ntt.pointwise", a):
-                if use_r52:
-                    regs[step["dst"]] = ("r52", r.mulmod(as_r52(a), as_r52(b)))
-                else:
-                    regs[step["dst"]] = (
-                        "dw", ntt.mod.mulmod(as_dw(a), as_dw(b))
-                    )
+                regs[step["dst"]] = ("r52", r.mulmod(as_r52(a), as_r52(b)))
         else:  # blas (validated): the plan counts its own call
             plan = blas if blas is not None else FastBlasPlan(ntt.q)
             xa = as_dw(regs[step["x"]])

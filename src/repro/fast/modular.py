@@ -39,7 +39,7 @@ from repro.fast.limbs import (
     sub128,
     wide_mul_128,
 )
-from repro.fast.r52 import get_r52_modulus, resolve_fast_mode
+from repro.fast.r52 import get_r52_modulus, resolve_substrate
 from repro.obs.hooks import record_fastmod_eviction
 
 #: Process-wide memoized moduli, keyed by ``(q, resolved_mode)`` and
@@ -81,10 +81,12 @@ class FastModulus:
     ``mode`` picks the arithmetic substrate for ``mulmod``: ``"dw"``
     runs the 128-bit schoolbook path below, ``"r52"`` routes through
     the 52-bit redundant-limb substrate (:mod:`repro.fast.r52`), and
-    ``"auto"``/``None`` (optionally via the ``REPRO_FAST_MODE`` env
-    var) picks r52 through 102 bits, the general-operand (``"blas"``)
-    row of :data:`~repro.fast.r52.AUTO_R52_MAX_BETA`; transform plans
-    resolve their own row and pass the result in.
+    ``"auto"``/``None`` picks r52 through
+    :data:`~repro.fast.r52.R52_AUTO_MAX_BETA` (102) bits and dw above.
+    Both substrates stay live: ``auto`` needs dw for wide
+    general-operand products, transform plans always ask for ``"r52"``
+    (their chains run its three-limb ``mulmod`` at any width), and the
+    substrate duels in ``benchmarks/bench_fast.py`` force each side.
     Results are bit-identical either way; ``addmod``/``submod`` always
     stay double-word (the repack would cost more than carry chains on
     an add). The public array layout is ``(..., 2)`` uint64 regardless.
@@ -106,7 +108,7 @@ class FastModulus:
         self.beta = self.params.beta
         self.m = limbs_from_ints(q)
         self.mu = limbs_from_ints(self.params.mu)
-        self.mode = resolve_fast_mode(mode, q)
+        self.mode = resolve_substrate(mode, q)
         self.r52 = get_r52_modulus(q) if self.mode == "r52" else None
 
     @classmethod
@@ -119,7 +121,7 @@ class FastModulus:
         r52 precomputation per prime. Evictions bump the
         ``fastmod.evictions`` counter.
         """
-        key = (q, resolve_fast_mode(mode, q))
+        key = (q, resolve_substrate(mode, q))
         with _MODULUS_LOCK:
             mod = _MODULUS_CACHE.get(key)
             if mod is not None:

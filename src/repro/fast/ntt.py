@@ -3,11 +3,12 @@
 Where :class:`repro.ntt.simd.SimdNtt` walks each stage one SIMD block at
 a time through an ISA simulator, :class:`FastNtt` runs the *same*
 constant-geometry dataflow — read ``x[i]`` and ``x[i + n/2]``, butterfly,
-write the pair to ``2i``/``2i + 1`` — on entire ``(n,)`` vectors of
-128-bit limb pairs at once: one vectorized ``mulmod`` / ``addmod`` /
-``submod`` triple per stage and a strided scatter for the interleave.
-Twiddle tables come from the same :class:`~repro.ntt.twiddles.TwiddleTable`
-the faithful path uses, so the two engines agree bit for bit.
+write the pair to ``2i``/``2i + 1`` — on entire ``(n,)`` vectors at
+once, always on the 52-bit redundant-limb substrate
+(:class:`~repro.fast.r52.R52Ntt`: Harvey-lazy stages, one batched carry
+flush per stage, a strided scatter for the interleave). Twiddle tables
+come from the same :class:`~repro.ntt.twiddles.TwiddleTable` the
+faithful path uses, so the two engines agree bit for bit.
 
 The batched API accepts ``(batch, n)`` inputs, transforming every row in
 the same NumPy operations — this is how the RNS pipeline's independent
@@ -31,9 +32,9 @@ from repro.fast.chain import (
     run_chain,
     transform_steps,
 )
-from repro.fast.limbs import IntVector, limbs_from_ints, limbs_to_ints
+from repro.fast.limbs import IntVector, limbs_to_ints
 from repro.fast.modular import FastModulus
-from repro.fast.r52 import R52Ntt, resolve_fast_mode
+from repro.fast.r52 import R52Ntt
 from repro.ntt.twiddles import TwiddleTable, bit_reverse
 from repro.obs.hooks import engine_run_span, record_engine_call, record_r52_call
 from repro.util.checks import check_power_of_two
@@ -50,12 +51,11 @@ class FastNtt:
         root: Optional explicit primitive ``n``-th root of unity.
         table: Optional pre-built twiddle table to share with a faithful
             plan (guarantees both engines use identical twiddles).
-        mode: Arithmetic substrate — ``"dw"`` (128-bit schoolbook),
-            ``"r52"`` (52-bit redundant limbs with Harvey-lazy stages,
-            see :mod:`repro.fast.r52`) or ``"auto"``/``None`` (r52
-            through 124 bits, the ``"ntt"`` row of
-            :data:`~repro.fast.r52.AUTO_R52_MAX_BETA`; overridable via
-            the ``REPRO_FAST_MODE`` env var). Bit-identical either way.
+
+    Transforms and the fused chains built on them always run on the r52
+    substrate (:attr:`mode` is ``"r52"``): a Shoup twiddle product
+    stays cheaper than a double-word product at every width through
+    124 bits.
     """
 
     def __init__(
@@ -64,7 +64,6 @@ class FastNtt:
         q: int,
         root: Optional[int] = None,
         table: Optional[TwiddleTable] = None,
-        mode: Optional[str] = None,
     ) -> None:
         if table is not None:
             if table.n != n or table.q != q:
@@ -75,24 +74,20 @@ class FastNtt:
             self.table = table
         else:
             self.table = TwiddleTable.get(n, q, root or 0)
-        self.mod = FastModulus.get(q, resolve_fast_mode(mode, q, "ntt"))
+        self.mod = FastModulus.get(q, "r52")
         self.mode = self.mod.mode
         #: Standalone general-operand products (:meth:`pointwise_mul`)
-        #: follow the ``"blas"`` row of the auto table: at three limbs a
-        #: full r52 Barrett product is slower than dw.
-        self._pointwise_mod = FastModulus.get(q, mode)
-        self._r52 = (
-            R52Ntt(self.table, self.mod.r52)
-            if self.mod.r52 is not None
-            else None
-        )
+        #: resolve ``auto`` like BLAS: at three limbs a full r52 Barrett
+        #: product is slower than dw.
+        self._pointwise_mod = FastModulus.get(q)
+        self._r52 = R52Ntt(self.table, self.mod.r52)
         bits = n.bit_length() - 1
         self._bitrev = np.array(
             [bit_reverse(i, bits) for i in range(n)], dtype=np.intp
         )
-        self._n_inv = limbs_from_ints(self.table.n_inverse)
-        self._stage_tw: dict = {}
-        self._r52_n_inv: Optional[tuple] = None
+        #: Shoup pair for ``1/n``: the chain runner applies the inverse
+        #: transform's scaling without leaving limb-plane form.
+        self._n_inv_shoup = self.mod.r52.shoup(int(self.table.n_inverse))
 
     @property
     def n(self) -> int:
@@ -137,8 +132,8 @@ class FastNtt:
         """Length-``n`` cyclic convolution via the transform.
 
         Runs :data:`~repro.fast.chain.CYCLIC_MUL_STEPS` as one fused
-        chain: the operands are packed once and, on the r52 substrate,
-        stay in limb-plane form from the first transform to the last.
+        chain: the operands are packed once and stay in r52 limb-plane
+        form from the first transform to the last.
         """
         return self._fused(CYCLIC_MUL_STEPS, f, g)
 
@@ -164,49 +159,14 @@ class FastNtt:
             raise NttParameterError(f"expected {self.n} values, got {got}")
         return arr, as_ints
 
-    def _r52_n_inv_pair(self) -> tuple:
-        """Cached Shoup pair for ``1/n`` on the r52 substrate.
-
-        Used by the fused-chain runner (:mod:`repro.fast.chain`) to
-        apply the inverse transform's scaling without leaving limb-plane
-        form.
-        """
-        if self._r52_n_inv is None:
-            self._r52_n_inv = self.mod.r52.shoup(int(self.table.n_inverse))
-        return self._r52_n_inv
-
-    def _stage_twiddles(self, stage: int, inverse: bool) -> np.ndarray:
-        key = (stage, inverse)
-        cached = self._stage_tw.get(key)
-        if cached is None:
-            cached = limbs_from_ints(
-                self.table.pease_stage_twiddles(stage, inverse)
-            )
-            self._stage_tw[key] = cached
-        return cached
-
-    def _run_stages(self, x: np.ndarray, inverse: bool) -> np.ndarray:
-        """The dw-substrate stage loop (r52 plans run :class:`R52Ntt`)."""
-        half = self.n // 2
-        for stage in range(self.table.stages):
-            tw = self._stage_twiddles(stage, inverse)
-            top = x[..., :half, :]
-            bottom = x[..., half:, :]
-            t = self.mod.mulmod(bottom, tw)
-            out = np.empty_like(x)
-            out[..., 0::2, :] = self.mod.addmod(top, t)
-            out[..., 1::2, :] = self.mod.submod(top, t)
-            x = out
-        return x
-
 
 class FastNegacyclic:
     """Negacyclic polynomial multiplication on the fast engine.
 
     The same psi-twist formulation as :class:`repro.ntt.negacyclic.NegacyclicNtt`
     (twist by powers of a primitive ``2n``-th root, cyclic convolve,
-    untwist), with the twist tables held as limb arrays so the whole
-    product is a handful of vectorized passes.
+    untwist), with the twist tables held as r52 Shoup vectors so the
+    whole product is a handful of vectorized passes.
     """
 
     def __init__(
@@ -215,7 +175,6 @@ class FastNegacyclic:
         q: int,
         psi: Optional[int] = None,
         plan: Optional[FastNtt] = None,
-        mode: Optional[str] = None,
     ) -> None:
         check_power_of_two(n, "n")
         if (q - 1) % (2 * n):
@@ -230,24 +189,22 @@ class FastNegacyclic:
                 f"{self.psi} is not a primitive {2 * n}-th root of unity mod {q}"
             )
         omega = self.psi * self.psi % q
-        self.plan = plan or FastNtt(n, q, root=omega, mode=mode)
+        self.plan = plan or FastNtt(n, q, root=omega)
         self.mode = self.plan.mode
         psi_inv = inv_mod(self.psi, q)
         self._twist_ints = [pow(self.psi, i, q) for i in range(n)]
         self._untwist_ints = [pow(psi_inv, i, q) for i in range(n)]
-        self._twist = limbs_from_ints(self._twist_ints)
-        self._untwist = limbs_from_ints(self._untwist_ints)
         self._r52_twist: Optional[tuple] = None
         self._r52_untwist: Optional[tuple] = None
 
     def _r52_twist_pair(self) -> tuple:
-        """Cached Shoup-vector pair for the psi twist (r52 substrate)."""
+        """Cached Shoup-vector pair for the psi twist."""
         if self._r52_twist is None:
             self._r52_twist = self.plan.mod.r52.shoup_vector(self._twist_ints)
         return self._r52_twist
 
     def _r52_untwist_pair(self) -> tuple:
-        """Cached Shoup-vector pair for the psi^-1 untwist (r52 substrate)."""
+        """Cached Shoup-vector pair for the psi^-1 untwist."""
         if self._r52_untwist is None:
             self._r52_untwist = self.plan.mod.r52.shoup_vector(
                 self._untwist_ints

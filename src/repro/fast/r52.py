@@ -41,7 +41,6 @@ and the schoolbook fast path in ``tests/test_fast_r52.py``.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -60,29 +59,19 @@ from repro.fast.limbs import (
 from repro.ntt.twiddles import TwiddleTable
 from repro.obs.hooks import record_r52_carry_flush
 
-#: Valid values for the fast engine's ``mode=`` kwarg / env override.
+#: Valid values for the ``mode=`` kwarg of ``FastModulus``/``FastBlasPlan``.
 FAST_MODES = ("auto", "r52", "dw")
 
-#: Environment override for the default substrate selection.
-FAST_MODE_ENV = "REPRO_FAST_MODE"
-
-#: Widest modulus (``q.bit_length()``) ``auto`` routes to r52, per op
-#: kind. Through 102 bits everything fits two limbs and r52 wins on
-#: every op. From 103 bits a third limb is needed, and the ops part ways:
-#:
-#: * ``"ntt"`` (transforms, and the fused chains built on them): a
-#:   Shoup twiddle product takes one full limb-plane product and two
-#:   low halves, so the third limb's extra columns cost it little and
-#:   r52 still wins at 124 bits (forward NTT, n=4096: 1.3-1.5x over dw
-#:   for 1-16 rows; 16-row negacyclic product 1.5x);
-#: * ``"blas"`` (general-operand ``mulmod``, the default kind): a
-#:   Barrett product takes two full products, and the extra columns
-#:   erase the win (16-row ``vector_mul`` at 124 bits: dw 21 ms, r52
-#:   26 ms), so it keeps the double-word substrate.
-#:
-#: ``mode="r52"`` still forces r52, exactly, through 124 bits for either
-#: kind; ``bench_fast.py`` duels both substrates at 124 bits.
-AUTO_R52_MAX_BETA = {"ntt": 124, "blas": 102}
+#: Widest modulus (``q.bit_length()``) ``auto`` routes general-operand
+#: products to r52. Through 102 bits everything fits two limbs and r52
+#: wins. From 103 bits a Barrett product takes two full three-limb
+#: products, and the extra columns erase the win (16-row ``vector_mul``
+#: at 124 bits: dw 21 ms, r52 26 ms), so ``auto`` keeps dw there.
+#: Transforms ignore this bound: a Shoup twiddle product takes one full
+#: product and two low halves, so they run on r52 at every width
+#: (forward NTT, n=4096, 124 bits: 1.3-1.5x over dw for 1-16 rows).
+#: ``bench_fast.py`` duels both substrates at 100 and 124 bits.
+R52_AUTO_MAX_BETA = 102
 
 #: How many canonical 52-bit limbs one ``uint64`` lane can accumulate
 #: before the deferred-carry sum can wrap: ``2^(64-52)``. This is the
@@ -111,27 +100,20 @@ _SCALE = 2.0 ** -52
 LimbPlanes = List[np.ndarray]
 
 
-def resolve_fast_mode(
-    mode: Optional[str] = None, q: Optional[int] = None, kind: str = "blas"
-) -> str:
-    """Resolve a requested fast-engine mode to ``"r52"`` or ``"dw"``.
+def resolve_substrate(mode: Optional[str], q: int) -> str:
+    """Resolve a requested ``mode=`` for modulus ``q`` to ``"r52"``/``"dw"``.
 
-    ``mode=None`` falls back to the :data:`FAST_MODE_ENV` environment
-    variable, then to ``"auto"``; ``"auto"`` picks r52 exactly when
-    ``q.bit_length() <= AUTO_R52_MAX_BETA[kind]`` (and ``q`` is given).
-    ``kind`` is ``"ntt"`` for transform plans and ``"blas"`` for
-    general-operand arithmetic.
+    ``mode=None`` means ``"auto"``, which picks r52 exactly when
+    ``q.bit_length() <= R52_AUTO_MAX_BETA``.
     """
     if mode is None:
-        mode = os.environ.get(FAST_MODE_ENV, "").strip() or "auto"
+        mode = "auto"
     if mode not in FAST_MODES:
         raise ArithmeticDomainError(
             f"fast mode must be one of {FAST_MODES}, got {mode!r}"
         )
     if mode == "auto":
-        if q is None:
-            return "auto"
-        return "r52" if 2 <= q.bit_length() <= AUTO_R52_MAX_BETA[kind] else "dw"
+        return "r52" if 2 <= q.bit_length() <= R52_AUTO_MAX_BETA else "dw"
     return mode
 
 
@@ -488,10 +470,11 @@ class R52Modulus:
 class R52Ntt:
     """Constant-geometry NTT stages on the r52 substrate, Harvey-lazy.
 
-    Runs the exact Pease dataflow of :class:`repro.fast.ntt.FastNtt`
-    (same :class:`~repro.ntt.twiddles.TwiddleTable`, bit-identical
-    results) but keeps butterfly values in ``[0, 4q)`` between stages
-    with 52-bit redundant limbs:
+    The only stage loop of :class:`repro.fast.ntt.FastNtt`: the Pease
+    dataflow of the faithful :class:`repro.ntt.simd.SimdNtt` (same
+    :class:`~repro.ntt.twiddles.TwiddleTable`, bit-identical results),
+    with butterfly values kept in ``[0, 4q)`` between stages as 52-bit
+    redundant limbs:
 
     * the ``x~ + t`` wing defers its limb carries entirely (depth
       :data:`STAGE_DEFERRED_ADDS`, against a budget of

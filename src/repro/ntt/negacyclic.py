@@ -45,7 +45,6 @@ class NegacyclicNtt:
         algorithm: str = "schoolbook",
         psi: Optional[int] = None,
         engine: str = "faithful",
-        fast_mode: Optional[str] = None,
     ) -> None:
         check_power_of_two(n, "n")
         if (q - 1) % (2 * n):
@@ -72,8 +71,7 @@ class NegacyclicNtt:
         # The cyclic plan uses omega = psi^2, keeping the rings consistent.
         omega = self.psi * self.psi % q
         self.plan = SimdNtt(
-            n, q, backend, algorithm=algorithm, root=omega, engine=engine,
-            fast_mode=fast_mode,
+            n, q, backend, algorithm=algorithm, root=omega, engine=engine
         )
         self.engine = engine
 

@@ -48,10 +48,6 @@ class SimdNtt:
             NumPy-vectorized engine, for when only the values matter) or
             ``"parallel"`` (fast-engine results with batched rows
             sharded across the :mod:`repro.par` worker pool).
-        fast_mode: Arithmetic substrate for the fast/parallel engines —
-            ``"dw"``, ``"r52"`` or ``"auto"``/``None`` (see
-            :class:`repro.fast.modular.FastModulus`). Ignored by the
-            faithful engine.
     """
 
     def __init__(
@@ -63,7 +59,6 @@ class SimdNtt:
         root: Optional[int] = None,
         twiddle_mode: str = "barrett",
         engine: str = "faithful",
-        fast_mode: Optional[str] = None,
     ) -> None:
         self.table = TwiddleTable.get(n, q, root or 0)
         self.backend = backend
@@ -100,7 +95,7 @@ class SimdNtt:
 
             #: The vectorized twin plan, sharing this plan's twiddle
             #: table so both engines use identical constants.
-            self.fast_plan = FastNtt(n, q, table=self.table, mode=fast_mode)
+            self.fast_plan = FastNtt(n, q, table=self.table)
         else:
             self.fast_plan = None
         if engine == "parallel":

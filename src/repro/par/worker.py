@@ -205,7 +205,7 @@ def execute_spec(spec: dict, in_worker: bool = False) -> None:
         with span("par.worker.compute", op=op, steps=len(steps)):
             # BLAS chains carry no transform plan and run on the flat
             # element axis; everything else stays resident on the r52
-            # substrate across its steps when the modulus allows it.
+            # substrate across its steps.
             result = fast_chain.run_chain(steps, regs, plan, neg=neg, blas=bl)
         with span("par.worker.map_shm", role="out"):
             out_view = shm.segment_view(attach(spec["out"]), spec["shape"])

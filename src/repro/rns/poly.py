@@ -10,7 +10,7 @@ paper accelerates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.blas.ops import BlasPlan
 from repro.errors import ArithmeticDomainError, NttParameterError
@@ -62,11 +62,6 @@ class RnsPolynomialRing:
             :mod:`repro.par` worker pool — ``mul`` dispatches all
             primes as one fused batch) for every per-prime BLAS and
             NTT pipeline (see docs/PERFORMANCE.md).
-        fast_mode: Arithmetic substrate for the fast/parallel engines,
-            handed to every per-prime plan (``"dw"``/``"r52"``/
-            ``"auto"``, see :class:`repro.fast.modular.FastModulus`) —
-            with ``"auto"`` each channel prime picks r52 exactly when
-            it fits the fast range. Ignored by the faithful engine.
     """
 
     def __init__(
@@ -76,7 +71,6 @@ class RnsPolynomialRing:
         backend: Backend,
         negacyclic: bool = True,
         engine: str = "faithful",
-        fast_mode: Optional[str] = None,
     ) -> None:
         check_power_of_two(n, "n")
         self.n = n
@@ -102,17 +96,11 @@ class RnsPolynomialRing:
                     f"{'negacyclic' if negacyclic else 'cyclic'} ring of "
                     f"dimension {n}"
                 )
-            self._blas[q] = BlasPlan(
-                q, backend, engine=engine, fast_mode=fast_mode
-            )
+            self._blas[q] = BlasPlan(q, backend, engine=engine)
             if negacyclic:
-                self._ntt[q] = NegacyclicNtt(
-                    n, q, backend, engine=engine, fast_mode=fast_mode
-                )
+                self._ntt[q] = NegacyclicNtt(n, q, backend, engine=engine)
             else:
-                self._ntt[q] = SimdNtt(
-                    n, q, backend, engine=engine, fast_mode=fast_mode
-                )
+                self._ntt[q] = SimdNtt(n, q, backend, engine=engine)
 
     # ------------------------------------------------------------------
     # Encoding

@@ -627,15 +627,19 @@ class ReproService:
                 parallel_rns_mul(ring, f, g, self._executor)
                 for f, g in payloads
             ]
-        from repro.rns.poly import RnsPolynomial
-
-        return [
-            ring.mul(
-                RnsPolynomial(ring, [list(r) for r in f]),
-                RnsPolynomial(ring, [list(r) for r in g]),
-            ).residues
-            for f, g in payloads
-        ]
+        # In process on the engine this batch resolved to, whatever the
+        # ring's own engine is: one polymul batch per prime, holding
+        # every request's row for that channel.
+        channels = []
+        for i, q_i in enumerate(ring.basis.primes):
+            plan = self._plan(engine, "polymul", n, q_i)
+            fs = [list(f[i]) for f, _ in payloads]
+            gs = [list(g[i]) for _, g in payloads]
+            if engine == "faithful":
+                channels.append([plan.multiply(x, y) for x, y in zip(fs, gs)])
+            else:
+                channels.append(plan.multiply(fs, gs))
+        return [[rows[j] for rows in channels] for j in range(len(payloads))]
 
     def _plan(self, engine: str, family: str, n: int, q: Hashable):
         """Cached per-(engine, family, n, q) plan construction."""

@@ -459,6 +459,42 @@ class TestEngineSwitch:
         with pytest.raises(ArithmeticDomainError):
             plan.vector_add([1, 2, 3], [4, 5, 6])
 
+    @pytest.mark.parametrize("engine", ["fast", "parallel"])
+    @pytest.mark.parametrize(
+        "rows, width, ok",
+        [(None, 16, True), (3, 16, True), (8, 5, False)],
+        ids=["flat16", "batch3x16", "batch8x5"],
+    )
+    def test_lane_contract_checks_row_length(self, engine, rows, width, ok):
+        # The lane rule is about the row length, never the row count: 3
+        # rows of 16 fit 8-lane blocks, 8 rows of 5 do not.
+        from repro.par import ParallelExecutor
+
+        q = prime_for(100)
+        backend = get_backend("avx512")
+        rng = random.Random(width)
+        shape = [width] * (rows or 1)
+        x = [random_vector(rng, q, w) for w in shape]
+        y = [random_vector(rng, q, w) for w in shape]
+        if rows is None:
+            x, y = x[0], y[0]
+        if not ok:
+            plan = BlasPlan(q, backend, engine=engine)
+            with pytest.raises(ArithmeticDomainError, match=(
+                f"vector length {width} is not a multiple of the SIMD "
+                f"lane count {backend.lanes}"
+            )):
+                plan.vector_mul(x, y)
+            return
+        faithful = BlasPlan(q, backend)
+        if rows is None:
+            want = faithful.vector_mul(x, y)
+        else:
+            want = [faithful.vector_mul(a, b) for a, b in zip(x, y)]
+        with ParallelExecutor(workers=1):
+            plan = BlasPlan(q, backend, engine=engine)
+            assert plan.vector_mul(x, y) == want
+
     def test_unknown_engine_rejected(self):
         q = prime_for(100)
         backend = get_backend("scalar")

@@ -9,7 +9,6 @@ switches between one, two and three planes, and at the top of the range
 limb-count rule guarantees.
 """
 
-import os
 import random
 
 import pytest
@@ -25,15 +24,14 @@ from repro.fast.limbs import limbs_from_ints, limbs_to_ints, r52_join, r52_split
 from repro.fast.modular import FastModulus
 from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.fast.r52 import (
-    AUTO_R52_MAX_BETA,
-    FAST_MODE_ENV,
     MAX_DEFERRED_ADDS,
+    R52_AUTO_MAX_BETA,
     STAGE_DEFERRED_ADDS,
     R52Modulus,
     R52Ntt,
     get_r52_modulus,
     limb_count,
-    resolve_fast_mode,
+    resolve_substrate,
 )
 
 #: Transform order every drawn prime supports (n <= 32 negacyclic).
@@ -142,6 +140,17 @@ class TestSplitJoinRoundtrip:
         assert limbs_to_ints(r52_join(planes)) == values
 
 
+def _faithful_plans(n, q):
+    """The faithful engine's transforms on the scalar backend, whose
+    double-word arithmetic is the reference for the r52 transforms."""
+    from repro.kernels import get_backend
+    from repro.ntt.negacyclic import NegacyclicNtt
+    from repro.ntt.simd import SimdNtt
+
+    backend = get_backend("scalar")
+    return SimdNtt(n, q, backend), NegacyclicNtt(n, q, backend)
+
+
 class TestNttModes:
     @pytest.mark.parametrize("bits", (60, 100, 104, 124))
     def test_r52_and_dw_transforms_agree(self, bits):
@@ -150,64 +159,52 @@ class TestNttModes:
         rng = random.Random(bits)
         f = [rng.randrange(q) for _ in range(n)]
         g = [rng.randrange(q) for _ in range(n)]
-        dw = FastNtt(n, q, mode="dw")
-        r52 = FastNtt(n, q, mode="r52")
-        assert r52.mode == "r52" and dw.mode == "dw"
-        assert dw.forward(f) == r52.forward(f)
+        dw, dw_neg = _faithful_plans(n, q)
+        r52 = FastNtt(n, q, table=dw.table)
+        assert r52.mode == "r52"
+        assert r52.forward(f) == dw.forward(f)
         assert r52.inverse(r52.forward(f)) == f
-        assert dw.cyclic_multiply(f, g) == r52.cyclic_multiply(f, g)
-        assert (
-            FastNegacyclic(n, q, mode="dw").multiply(f, g)
-            == FastNegacyclic(n, q, mode="r52").multiply(f, g)
+        spectra = zip(dw.forward(f), dw.forward(g))
+        assert r52.cyclic_multiply(f, g) == dw.inverse(
+            [a * b % q for a, b in spectra]
         )
+        assert FastNegacyclic(n, q, psi=dw_neg.psi).multiply(
+            f, g
+        ) == dw_neg.multiply(f, g)
 
     def test_batched_rows(self):
         n, batch = 16, 5
         q = find_ntt_prime(100, 2 * n)
         rng = random.Random(5)
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(batch)]
-        dw = FastNtt(n, q, mode="dw")
-        r52 = FastNtt(n, q, mode="r52")
-        assert dw.forward(rows) == r52.forward(rows)
+        dw, _ = _faithful_plans(n, q)
+        r52 = FastNtt(n, q, table=dw.table)
+        assert r52.forward(rows) == [dw.forward(row) for row in rows]
         assert r52.inverse(r52.forward(rows)) == rows
 
 
 class TestModeResolution:
-    def test_auto_threshold(self):
-        # The default kind is general-operand arithmetic ("blas").
-        below = find_ntt_prime(AUTO_R52_MAX_BETA["blas"], ORDER)
-        above = find_ntt_prime(AUTO_R52_MAX_BETA["blas"] + 2, ORDER)
-        assert resolve_fast_mode("auto", below) == "r52"
-        assert resolve_fast_mode("auto", above) == "dw"
-        assert resolve_fast_mode("auto", above, "blas") == "dw"
-        # Transforms keep r52 through the top of the supported range.
-        assert AUTO_R52_MAX_BETA["ntt"] == 124
-        assert resolve_fast_mode("auto", above, "ntt") == "r52"
-        assert resolve_fast_mode("auto", find_ntt_prime(124, ORDER), "ntt") == "r52"
-        assert resolve_fast_mode(None, None) == "auto"
-        assert resolve_fast_mode("r52", above) == "r52"
-        assert resolve_fast_mode("dw", below) == "dw"
+    def test_auto_threshold(self, monkeypatch):
+        # One bound, for general-operand products only.
+        assert R52_AUTO_MAX_BETA == 102
+        below = find_ntt_prime(R52_AUTO_MAX_BETA, ORDER)
+        above = find_ntt_prime(R52_AUTO_MAX_BETA + 2, ORDER)
+        assert resolve_substrate("auto", below) == "r52"
+        assert resolve_substrate("auto", above) == "dw"
+        assert resolve_substrate(None, above) == "dw"
+        assert resolve_substrate("r52", above) == "r52"
+        assert resolve_substrate("dw", below) == "dw"
+        # The retired REPRO_FAST_MODE override changes nothing.
+        monkeypatch.setenv("REPRO_FAST_MODE", "dw")
+        assert resolve_substrate(None, below) == "r52"
+        assert FastNtt(ORDER, below).mode == "r52"
+        assert FastNtt(ORDER, above).mode == "r52"
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ArithmeticDomainError):
-            resolve_fast_mode("montgomery", 97)
+            resolve_substrate("montgomery", 97)
         with pytest.raises(ArithmeticDomainError):
             FastModulus(97, mode="ifma")
-
-    def test_env_override(self):
-        old = os.environ.get(FAST_MODE_ENV)
-        try:
-            os.environ[FAST_MODE_ENV] = "dw"
-            assert resolve_fast_mode(None, find_ntt_prime(100, ORDER)) == "dw"
-            os.environ[FAST_MODE_ENV] = "r52"
-            assert resolve_fast_mode(None, find_ntt_prime(124, ORDER)) == "r52"
-            # Explicit kwarg wins over the environment.
-            assert resolve_fast_mode("dw", find_ntt_prime(100, ORDER)) == "dw"
-        finally:
-            if old is None:
-                os.environ.pop(FAST_MODE_ENV, None)
-            else:
-                os.environ[FAST_MODE_ENV] = old
 
     def test_forced_r52_still_exact_above_auto_range(self):
         q = find_ntt_prime(120, ORDER)
@@ -223,11 +220,7 @@ THREE_LIMB_WIDTHS = (103, 104, 123, 124)
 
 
 class TestPerKindAuto:
-    """``auto`` keeps transforms on r52 through 124 bits, BLAS on dw above 102."""
-
-    @pytest.fixture(autouse=True)
-    def _no_env_override(self, monkeypatch):
-        monkeypatch.delenv(FAST_MODE_ENV, raising=False)
+    """Transforms run on r52 at every width; ``auto`` BLAS is dw above 102."""
 
     @pytest.mark.parametrize("bits", THREE_LIMB_WIDTHS)
     def test_transforms_pick_r52_blas_keeps_dw(self, bits):
@@ -239,18 +232,6 @@ class TestPerKindAuto:
         assert FastNegacyclic(n, q).mode == "r52"
         assert FastBlasPlan(q).mode == "dw"
         assert FastModulus(q).mode == "dw"
-
-    @pytest.mark.parametrize("bits", THREE_LIMB_WIDTHS)
-    def test_dw_still_forced_for_transforms(self, bits, monkeypatch):
-        n = 16
-        q = find_ntt_prime(bits, 2 * n)
-        assert FastNtt(n, q, mode="dw").mode == "dw"
-        assert FastNegacyclic(n, q, mode="dw").mode == "dw"
-        monkeypatch.setenv(FAST_MODE_ENV, "dw")
-        assert FastNtt(n, q).mode == "dw"
-        assert FastNegacyclic(n, q).mode == "dw"
-        # An explicit mode still wins over the environment.
-        assert FastNtt(n, q, mode="r52").mode == "r52"
 
     @pytest.mark.parametrize("bits", THREE_LIMB_WIDTHS)
     def test_auto_transforms_match_faithful(self, bits):
@@ -291,7 +272,8 @@ class TestPerKindAuto:
         q = find_ntt_prime(124, 2 * n)
         rng = random.Random(124)
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(4)]
-        want = FastNtt(n, q, mode="dw").forward(rows)
+        faithful, _ = _faithful_plans(n, q)
+        want = [faithful.forward(row) for row in rows]
         with ParallelExecutor(workers=2, task_timeout=20.0) as executor:
             plan = ParNtt(n, q, executor=executor)
             assert plan.plan.mode == "r52"

@@ -56,6 +56,33 @@ def _faithful_products(pairs, q=Q):
     return [negacyclic_polymul(f, g, q, backend) for f, g in pairs]
 
 
+def _rns_requests(seed, count, engine="fast"):
+    """A two-prime negacyclic ring built for ``engine``, ``count``
+    ``rns.mul`` payloads, and their products from a faithful ring."""
+    from repro.rns.basis import RnsBasis
+    from repro.rns.poly import RnsPolynomial, RnsPolynomialRing
+
+    basis = RnsBasis.generate(2, 30, 2 * N)
+    backend = get_backend("avx512")
+    ring = RnsPolynomialRing(N, basis, backend, engine=engine)
+    faithful = RnsPolynomialRing(N, basis, backend)
+    rng = random.Random(seed)
+    requests = [
+        tuple(
+            [[rng.randrange(q) for _ in range(N)] for q in basis.primes]
+            for _ in range(2)
+        )
+        for _ in range(count)
+    ]
+    expected = [
+        faithful.mul(
+            RnsPolynomial(faithful, f), RnsPolynomial(faithful, g)
+        ).residues
+        for f, g in requests
+    ]
+    return ring, requests, expected
+
+
 class FakeClock:
     def __init__(self, now=0.0):
         self.now = now
@@ -269,6 +296,26 @@ class TestServiceBitExact:
         assert not isinstance(results[3], ServeOverloadError)
         assert stats["completed"] == 3 and stats["failed"] == 1
 
+    @pytest.mark.parametrize("engine", ["fast", "parallel"])
+    def test_rns_mul_matches_faithful_ring(self, engine):
+        ring, requests, expected = _rns_requests(seed=12, count=3)
+
+        async def drive():
+            service = ReproService(config=ServeConfig(
+                engine=engine, workers=1, max_batch=3, max_wait_s=0.001,
+            ))
+            service.register_ring(ring)
+            async with service:
+                got = await asyncio.gather(*(
+                    service.submit("rns.mul", req, N, ring.basis.modulus)
+                    for req in requests
+                ))
+            return got, dict(service.stats)
+
+        got, stats = asyncio.run(drive())
+        assert got == expected
+        assert stats["completed"] == 3 and stats["degraded"] == 0
+
     def test_rns_mul_requires_registration(self):
         async def drive():
             service = ReproService(config=ServeConfig(
@@ -480,6 +527,44 @@ class TestServiceBreaker:
         assert got == expected
         assert stats["degraded"] >= 1
         assert stats["completed"] == 4
+
+    def test_breaker_degrade_runs_rns_mul_in_process(self, monkeypatch):
+        """A degraded rns.mul batch must not start a second (default) pool,
+        even when the registered ring was built for the parallel engine."""
+        from repro.par import executor as executor_mod
+
+        ring, requests, expected = _rns_requests(
+            seed=13, count=2, engine="parallel"
+        )
+        monkeypatch.setattr(executor_mod, "_DEFAULT", None)
+        pool = self._open_pool()
+
+        async def drive():
+            service = ReproService(
+                executor=pool,
+                config=ServeConfig(
+                    engine="parallel", breaker_mode="degrade",
+                    max_batch=2, max_wait_s=0.5,
+                ),
+            )
+            service.register_ring(ring)
+            async with service:
+                got = await asyncio.gather(*(
+                    service.submit("rns.mul", req, N, ring.basis.modulus)
+                    for req in requests
+                ))
+            return got, dict(service.stats)
+
+        try:
+            got, stats = asyncio.run(drive())
+        finally:
+            pool.close()
+            leaked = executor_mod._DEFAULT
+            if leaked is not None:
+                leaked.close()
+        assert got == expected
+        assert stats["degraded"] == 1 and stats["completed"] == 2
+        assert leaked is None
 
     def test_breaker_shed_mode_rejects_typed(self):
         pairs = _pairs(seed=11, count=2)
