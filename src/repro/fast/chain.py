@@ -45,10 +45,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import NttParameterError
-from repro.fast.blas import FastBlasPlan
 from repro.obs.hooks import engine_run_span, record_engine_call, record_r52_call
 
-if TYPE_CHECKING:  # repro.fast.ntt imports this module
+if TYPE_CHECKING:  # annotations only: repro.ntt imports the step tuples
+    from repro.fast.blas import FastBlasPlan
     from repro.fast.ntt import FastNegacyclic, FastNtt
 
 #: Valid ``blas_op`` values for a ``blas`` step.
@@ -222,9 +222,9 @@ def run_chain(
     """Execute a validated chain; returns the ``"out"`` register (dw form).
 
     ``inputs`` maps register names to ``(..., 2)`` limb arrays (already
-    coerced and range-checked by the caller). A chain of ``blas`` steps
-    alone needs no transform plan (``ntt=None``, ``blas`` given): it
-    runs on whatever element axis its inputs have. Every
+    coerced and range-checked by the caller). ``blas`` steps run on the
+    ``blas`` plan; a chain of them alone needs no transform plan
+    (``ntt=None``) and runs on whatever element axis its inputs have. Every
     NTT/twist/pointwise step runs on the plan's r52 substrate and keeps
     its result in 52-bit limb-plane form; the double-word repack happens
     once per input register and once for the result. Each step produces
@@ -281,8 +281,8 @@ def run_chain(
             src = regs[step["src"]]
             with kernel(f"ntt.{step['which']}", src):
                 pair = (
-                    neg._r52_untwist_pair() if step["which"] == "untwist"
-                    else neg._r52_twist_pair()
+                    neg.r52_untwist if step["which"] == "untwist"
+                    else neg.r52_twist
                 )
                 regs[step["dst"]] = ("r52", r.mulmod_shoup(as_r52(src), pair))
         elif kind == "pointwise":
@@ -290,13 +290,12 @@ def run_chain(
             with kernel("ntt.pointwise", a):
                 regs[step["dst"]] = ("r52", r.mulmod(as_r52(a), as_r52(b)))
         else:  # blas (validated): the plan counts its own call
-            plan = blas if blas is not None else FastBlasPlan(ntt.q)
             xa = as_dw(regs[step["x"]])
             ya = as_dw(regs[step["y"]])
             op = step["blas_op"]
             if op == "axpy":
-                result = plan.axpy(int(step["a"]), xa, ya)
+                result = blas.axpy(int(step["a"]), xa, ya)
             else:
-                result = getattr(plan, op)(xa, ya)
+                result = getattr(blas, op)(xa, ya)
             regs[step["dst"]] = ("dw", result)
     return as_dw(regs[OUT_REGISTER])

@@ -17,6 +17,7 @@ residue channels amortize kernel-launch overhead.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -191,25 +192,20 @@ class FastNegacyclic:
         omega = self.psi * self.psi % q
         self.plan = plan or FastNtt(n, q, root=omega)
         self.mode = self.plan.mode
-        psi_inv = inv_mod(self.psi, q)
-        self._twist_ints = [pow(self.psi, i, q) for i in range(n)]
-        self._untwist_ints = [pow(psi_inv, i, q) for i in range(n)]
-        self._r52_twist: Optional[tuple] = None
-        self._r52_untwist: Optional[tuple] = None
 
-    def _r52_twist_pair(self) -> tuple:
-        """Cached Shoup-vector pair for the psi twist."""
-        if self._r52_twist is None:
-            self._r52_twist = self.plan.mod.r52.shoup_vector(self._twist_ints)
-        return self._r52_twist
+    @cached_property
+    def r52_twist(self) -> tuple:
+        """Shoup-vector pair for the psi twist (built on first use)."""
+        return self._shoup_powers(self.psi)
 
-    def _r52_untwist_pair(self) -> tuple:
-        """Cached Shoup-vector pair for the psi^-1 untwist."""
-        if self._r52_untwist is None:
-            self._r52_untwist = self.plan.mod.r52.shoup_vector(
-                self._untwist_ints
-            )
-        return self._r52_untwist
+    @cached_property
+    def r52_untwist(self) -> tuple:
+        """Shoup-vector pair for the psi^-1 untwist (built on first use)."""
+        return self._shoup_powers(inv_mod(self.psi, self.q))
+
+    def _shoup_powers(self, base: int) -> tuple:
+        powers = [pow(base, i, self.q) for i in range(self.n)]
+        return self.plan.mod.r52.shoup_vector(powers)
 
     def forward(self, values: IntMatrix) -> IntMatrix:
         """Twisted forward transform (raw bit-reversed order)."""

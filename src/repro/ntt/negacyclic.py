@@ -12,29 +12,44 @@ where ``twist(f)[i] = f[i] * psi^i`` and ``untwist`` multiplies by
 multiplications, so they run on the same kernel backends as everything
 else; the cyclic convolution in the middle is the Pease SIMD NTT.
 
+:class:`NegacyclicNtt` describes none of this itself: on the faithful
+engine each method runs a canonical :mod:`repro.fast.chain` step tuple
+through the faithful interpreter (:func:`repro.ntt.chain.run_chain`),
+and on the fast and parallel engines it hands the same call to its
+twin plan.
+
 Requires ``2n | q - 1`` (all the library's default primes satisfy this).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional
 
 from repro.arith.modular import inv_mod
 from repro.arith.primes import root_of_unity
 from repro.errors import NttParameterError
+from repro.fast.chain import (
+    NEGACYCLIC_FORWARD_STEPS,
+    NEGACYCLIC_INVERSE_STEPS,
+    NEGACYCLIC_MUL_STEPS,
+)
 from repro.kernels.backend import Backend
+from repro.ntt.chain import run_chain
 from repro.ntt.simd import SimdNtt
 from repro.obs.hooks import record_engine_call
-from repro.util.checks import check_power_of_two, check_reduced
+from repro.util.checks import check_power_of_two
 
 
 class NegacyclicNtt:
     """Multiplication plan for ``Z_q[x] / (x^n + 1)`` on one backend.
 
-    Precomputes the twist tables (powers of ``psi`` and ``psi^-1``) and an
-    ``n``-point cyclic NTT plan. The negacyclic product of two length-``n``
-    coefficient vectors needs only ``n``-point transforms (no zero
-    padding), which is why FHE implementations prefer this formulation.
+    Holds an ``n``-point cyclic NTT plan and, on the faithful engine,
+    the twist tables (powers of ``psi`` and ``psi^-1``, built on first
+    use). The negacyclic product of two length-``n`` coefficient vectors
+    needs only ``n``-point transforms (no zero padding), which is why
+    FHE implementations prefer this formulation. Every method takes a
+    flat vector or a ``(batch, n)`` list of rows.
     """
 
     def __init__(
@@ -60,95 +75,69 @@ class NegacyclicNtt:
             raise NttParameterError(
                 f"{self.psi} is not a primitive {2 * n}-th root of unity mod {q}"
             )
-        # Resolve the availability cascade here (not just in the inner
-        # SimdNtt): the twist plans below must agree with the engine
-        # that will actually run. Invalid names pass through unchanged
-        # and fail SimdNtt's validation as before.
-        from repro.resil.degrade import resolve_engine
-
-        if engine in ("fast", "parallel"):
-            engine = resolve_engine(engine, site="NegacyclicNtt")
         # The cyclic plan uses omega = psi^2, keeping the rings consistent.
         omega = self.psi * self.psi % q
         self.plan = SimdNtt(
             n, q, backend, algorithm=algorithm, root=omega, engine=engine
         )
-        self.engine = engine
-
-        psi_inv = inv_mod(self.psi, q)
-        self._twist = [pow(self.psi, i, q) for i in range(n)]
-        self._untwist = [pow(psi_inv, i, q) for i in range(n)]
-        if engine in ("fast", "parallel"):
+        #: The engine after SimdNtt's availability cascade; the twist
+        #: plans below follow it.
+        self.engine = engine = self.plan.engine
+        #: Vectorized twin sharing this plan's psi and twiddle table, and
+        #: its pool-sharded wrapper (``multiply`` on a batch splits the
+        #: rows across the active ParallelExecutor's workers).
+        self.fast_plan = self.par_plan = None
+        if engine != "faithful":
             from repro.fast.ntt import FastNegacyclic
 
-            #: Vectorized twin sharing this plan's psi and twiddle table.
             self.fast_plan = FastNegacyclic(
                 n, q, psi=self.psi, plan=self.plan.fast_plan
             )
-        else:
-            self.fast_plan = None
         if engine == "parallel":
             from repro.par.api import ParNegacyclic
 
-            #: Pool-sharded wrapper: ``multiply`` on a batch splits the
-            #: rows across the active ParallelExecutor's workers.
             self.par_plan = ParNegacyclic.from_plan(self.fast_plan)
-        else:
-            self.par_plan = None
 
-    def _pointwise(self, values: List[int], table: List[int]) -> List[int]:
-        """Point-wise multiply by a precomputed table, on the backend."""
-        backend = self.backend
-        lanes = backend.lanes
-        out: List[int] = []
-        for base in range(0, self.n, lanes):
-            a = backend.load_block(values[base : base + lanes])
-            b = backend.load_block(table[base : base + lanes])
-            out.extend(backend.store_block(backend.mulmod(a, b, self.plan.ctx)))
-        return out
+    @cached_property
+    def twist_table(self) -> List[int]:
+        """``psi^i`` for ``i < n`` (built on first faithful use)."""
+        return [pow(self.psi, i, self.q) for i in range(self.n)]
 
-    def forward(self, values: List[int]) -> List[int]:
+    @cached_property
+    def untwist_table(self) -> List[int]:
+        """``psi^-i`` for ``i < n`` (built on first faithful use)."""
+        psi_inv = inv_mod(self.psi, self.q)
+        return [pow(psi_inv, i, self.q) for i in range(self.n)]
+
+    def forward(self, values):
         """Twisted forward transform (negacyclic evaluation form).
 
         Output order is the raw bit-reversed order of the cyclic plan -
         point-wise operations don't care, and the matching
         :meth:`inverse` undoes it.
         """
-        if self.fast_plan is not None:
-            return self.fast_plan.forward(values)
-        if len(values) != self.n:
-            raise NttParameterError(f"expected {self.n} values, got {len(values)}")
-        for i, value in enumerate(values):
-            check_reduced(value, self.q, f"values[{i}]")
-        twisted = self._pointwise(values, self._twist)
-        return self.plan.forward(twisted, natural_order=False)
+        twin = self.par_plan or self.fast_plan
+        if twin is not None:
+            return twin.forward(values)
+        return self._run(NEGACYCLIC_FORWARD_STEPS, x=values)
 
-    def inverse(self, values: List[int]) -> List[int]:
+    def inverse(self, values):
         """Inverse of :meth:`forward` (includes untwisting and 1/n)."""
-        if self.fast_plan is not None:
-            return self.fast_plan.inverse(values)
-        if len(values) != self.n:
-            raise NttParameterError(f"expected {self.n} values, got {len(values)}")
-        cyclic = self.plan.inverse(values, natural_order=False)
-        return self._pointwise(cyclic, self._untwist)
+        twin = self.par_plan or self.fast_plan
+        if twin is not None:
+            return twin.inverse(values)
+        return self._run(NEGACYCLIC_INVERSE_STEPS, x=values)
 
-    def multiply(self, f: List[int], g: List[int]) -> List[int]:
+    def multiply(self, f, g):
         """Negacyclic product: ``f * g mod (x^n + 1, q)``."""
-        if self.par_plan is not None:
-            return self.par_plan.multiply(f, g)
-        if self.fast_plan is not None:
-            return self.fast_plan.multiply(f, g)
+        twin = self.par_plan or self.fast_plan
+        if twin is not None:
+            return twin.multiply(f, g)
         record_engine_call("faithful", "ntt.polymul", self.n)
-        fa = self.forward(f)
-        ga = self.forward(g)
-        backend = self.backend
-        lanes = backend.lanes
-        prod: List[int] = []
-        for base in range(0, self.n, lanes):
-            a = backend.load_block(fa[base : base + lanes])
-            b = backend.load_block(ga[base : base + lanes])
-            prod.extend(backend.store_block(backend.mulmod(a, b, self.plan.ctx)))
-        return self.inverse(prod)
+        return self._run(NEGACYCLIC_MUL_STEPS, x=f, y=g)
+
+    def _run(self, steps, **inputs):
+        return run_chain(steps, inputs, self.plan, neg=self)
 
 
 def negacyclic_polymul(

@@ -18,10 +18,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import NttParameterError
+from repro.fast.chain import CYCLIC_MUL_STEPS, transform_steps
 from repro.kernels.backend import Backend, ModulusContext
+from repro.ntt.chain import run_chain
 from repro.ntt.twiddles import TwiddleTable, bit_reverse_permutation
-from repro.obs.hooks import record_engine_call
-from repro.util.checks import check_reduced
 
 #: The execution engines a transform can run on (see
 #: docs/PERFORMANCE.md): ``"faithful"`` simulates the configured ISA
@@ -42,8 +42,10 @@ class SimdNtt:
         algorithm: ``"schoolbook"`` or ``"karatsuba"`` for the modular
             multiplications (Section 5.5's sensitivity knob).
         root: Optional explicit primitive ``n``-th root of unity.
-        engine: ``"faithful"`` (default — every transform runs through
-            the ISA simulator, so it can be traced and estimated),
+        engine: ``"faithful"`` (default — every transform runs as a
+            :mod:`repro.fast.chain` step tuple through the faithful
+            interpreter, :func:`repro.ntt.chain.run_chain`, on the ISA
+            simulator, so it can be traced and estimated),
             ``"fast"`` (bit-identical results computed on the
             NumPy-vectorized engine, for when only the values matter) or
             ``"parallel"`` (fast-engine results with batched rows
@@ -80,7 +82,7 @@ class SimdNtt:
             raise NttParameterError(
                 f"engine must be one of {ENGINES}, got {engine!r}"
             )
-        # Availability cascade (parallel → fast → faithful): a valid but
+        # Availability cascade (parallel → fast): a valid but
         # currently unavailable engine degrades with a warning instead
         # of failing the construction site (see repro.resil.degrade).
         from repro.resil.degrade import resolve_engine
@@ -89,23 +91,18 @@ class SimdNtt:
         self.engine = engine
         self.ctx: ModulusContext = backend.make_modulus(q, algorithm=algorithm)
         self._shoup_cache: dict = {}
-        if engine in ("fast", "parallel"):
-            # Deferred import: the faithful path must not require NumPy.
+        #: The vectorized twin plan, sharing this plan's twiddle table so
+        #: both engines use identical constants, and its pool-sharded
+        #: wrapper (batched rows split across the ParallelExecutor).
+        self.fast_plan = self.par_plan = None
+        if engine != "faithful":
             from repro.fast.ntt import FastNtt
 
-            #: The vectorized twin plan, sharing this plan's twiddle
-            #: table so both engines use identical constants.
             self.fast_plan = FastNtt(n, q, table=self.table)
-        else:
-            self.fast_plan = None
         if engine == "parallel":
             from repro.par.api import ParNtt
 
-            #: Pool-sharded wrapper around the fast plan (batched rows
-            #: are split across the default ParallelExecutor's workers).
             self.par_plan = ParNtt.from_plan(self.fast_plan)
-        else:
-            self.par_plan = None
 
     @property
     def n(self) -> int:
@@ -122,46 +119,53 @@ class SimdNtt:
         """Total butterflies in one transform: ``(n/2) log2 n``."""
         return (self.n // 2) * self.table.stages
 
-    def forward(self, values: List[int], natural_order: bool = True) -> List[int]:
-        """Forward NTT (bit-reversed raw output unless ``natural_order``)."""
-        if self.par_plan is not None:
-            return self.par_plan.forward(values, natural_order=natural_order)
-        if self.fast_plan is not None:
-            return self.fast_plan.forward(values, natural_order=natural_order)
-        record_engine_call("faithful", "ntt.forward", self.n)
-        x = self._run_stages(values, inverse=False)
-        return bit_reverse_permutation(x) if natural_order else x
+    def forward(self, values, natural_order: bool = True):
+        """Forward NTT (bit-reversed raw output unless ``natural_order``).
 
-    def inverse(self, values: List[int], natural_order: bool = True) -> List[int]:
+        Flat vectors or ``(batch, n)`` row lists, on every engine.
+        """
+        twin = self.par_plan or self.fast_plan
+        if twin is not None:
+            return twin.forward(values, natural_order=natural_order)
+        return run_chain(
+            transform_steps("forward", natural_order), {"x": values}, self
+        )
+
+    def inverse(self, values, natural_order: bool = True):
         """Inverse NTT including the 1/n scaling.
 
         With ``natural_order=False`` the input is expected in the
         bit-reversed order :meth:`forward` produces raw.
         """
-        if self.par_plan is not None:
-            return self.par_plan.inverse(values, natural_order=natural_order)
-        if self.fast_plan is not None:
-            return self.fast_plan.inverse(values, natural_order=natural_order)
-        record_engine_call("faithful", "ntt.inverse", self.n)
-        x = list(values) if natural_order else bit_reverse_permutation(values)
-        x = self._run_stages(x, inverse=True)
-        x = bit_reverse_permutation(x)
-        return self._scale(x)
+        twin = self.par_plan or self.fast_plan
+        if twin is not None:
+            return twin.inverse(values, natural_order=natural_order)
+        return run_chain(
+            transform_steps("inverse", natural_order), {"x": values}, self
+        )
 
-    def _run_stages(self, values: List[int], inverse: bool) -> List[int]:
+    def cyclic_multiply(self, f, g):
+        """Length-``n`` cyclic convolution ``f * g mod (x^n - 1, q)``.
+
+        Runs :data:`~repro.fast.chain.CYCLIC_MUL_STEPS`: two forward
+        transforms, a point-wise product and an inverse transform.
+        """
+        twin = self.par_plan or self.fast_plan
+        if twin is not None:
+            return twin.cyclic_multiply(f, g)
+        return run_chain(CYCLIC_MUL_STEPS, {"x": f, "y": g}, self)
+
+    def _transform(self, values: List[int], inverse: bool, natural: bool) -> List[int]:
+        """One transform of a validated row (the chain's ``ntt`` step)."""
         n = self.n
-        if len(values) != n:
-            raise NttParameterError(
-                f"expected {n} values, got {len(values)}"
-            )
-        for i, value in enumerate(values):
-            check_reduced(value, self.q, f"values[{i}]")
-
         backend = self.backend
         lanes = backend.lanes
         half = n // 2
         mode = self.twiddle_mode
-        x = list(values)
+        if inverse and not natural:
+            x = bit_reverse_permutation(values)
+        else:
+            x = list(values)
         for stage in range(self.table.stages):
             twiddles = self.table.pease_stage_twiddles(stage, inverse)
             shoup_tw = (
@@ -203,7 +207,9 @@ class SimdNtt:
                     )
                 )
             x = reduced
-        return x
+        if inverse:
+            return self._scale(bit_reverse_permutation(x))
+        return bit_reverse_permutation(x) if natural else x
 
     def _shoup_stage(self, stage: int, inverse: bool):
         """Precomputed Shoup constants ``floor(w * 2^128 / q)`` per stage."""

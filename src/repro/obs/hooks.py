@@ -394,11 +394,11 @@ def record_shm_reclaimed(segments: int) -> None:
 
 
 def record_resil_degraded(requested: str, resolved: str, reason: str) -> None:
-    """Count one engine degradation (``parallel``→``fast``→``faithful``).
+    """Count one engine degradation (``parallel``→``fast``, or a serve batch).
 
     Emits the aggregate ``resil.degraded`` counter plus a per-reason
-    sibling (``resil.degraded.breaker_open``, ``.numpy_missing``,
-    ``.pool_start_failed``, ``.deadline``, ``.disabled``...), so a
+    sibling (``resil.degraded.breaker_open``, ``.pool_start_failed``,
+    ``.deadline``, ``.disabled``...), so a
     profile shows both how often and *why* traffic left an engine.
     """
     session = current()

@@ -34,6 +34,7 @@ from repro.errors import NttParameterError
 from repro.fast import chain as fast_chain
 from repro.fast.blas import FastBlasPlan, IntMatrix
 from repro.fast.limbs import LIMB_DTYPE, limbs_from_ints, limbs_to_ints
+from repro.fast.modular import FastModulus
 from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.ntt.twiddles import TwiddleTable
 from repro.obs.hooks import record_engine_call, record_fused_chain
@@ -66,7 +67,8 @@ def shard_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
 def _chain_meta(
     steps: Sequence[dict],
     q: int,
-    ntt: Optional[FastNtt] = None,
+    n: Optional[int] = None,
+    root: Optional[int] = None,
     psi: Optional[int] = None,
 ) -> dict:
     """The pool's one task description: ``op="chain"`` running ``steps``.
@@ -82,8 +84,8 @@ def _chain_meta(
         "steps": steps,
         "inputs": fast_chain.chain_input_names(steps),
     }
-    if ntt is not None:
-        meta.update(n=ntt.n, root=ntt.table.root)
+    if n is not None:
+        meta.update(n=n, root=root)
     if psi is not None:
         meta["psi"] = psi
     return meta
@@ -201,7 +203,7 @@ def _run_rows(
                 f"chain input {name!r} has shape {arr.shape[:-1]}, "
                 f"expected {shape[:-1]}"
             )
-    meta = _chain_meta(steps, ntt.q, ntt, psi)
+    meta = _chain_meta(steps, ntt.q, ntt.n, ntt.table.root, psi)
     out = _run_sharded(executor, [meta], "rows", inputs, shape)
     if flat:
         out = out[0]
@@ -508,9 +510,10 @@ def parallel_rns_mul(
     single pool batch — every prime's NTTs run concurrently instead of
     the sequential per-prime loop of the in-process engines.
 
-    ``ring`` is an :class:`repro.rns.poly.RnsPolynomialRing` built with
-    ``engine="parallel"`` (anything exposing the same per-prime plans
-    works). Returns the residue rows as lists of ints.
+    ``ring`` is an :class:`repro.rns.poly.RnsPolynomialRing` on any
+    engine: the chains need only ``ring.n`` and each prime's plan
+    constants (``psi`` for a negacyclic ring, the twiddle root for a
+    cyclic one). Returns the residue rows as lists of ints.
     """
     primes = ring.basis.primes
     k, n = len(primes), ring.n
@@ -523,14 +526,15 @@ def parallel_rns_mul(
     )
     metas = []
     for i, q in enumerate(primes):
-        fast_plan = ring._ntt[q].fast_plan
-        fast_ntt = fast_plan.plan if ring.negacyclic else fast_plan
+        plan = ring._ntt[q]
+        ntt = plan.plan if ring.negacyclic else plan
+        psi = plan.psi if ring.negacyclic else None
         # Validate in-process, per prime, so a bad operand fails fast
         # with the fast engine's error instead of a retried worker failure.
-        fast_ntt.mod.check_reduced(fa[i])
-        fast_ntt.mod.check_reduced(ga[i])
-        psi = fast_plan.psi if ring.negacyclic else None
-        metas.append(_chain_meta(steps, q, fast_ntt, psi))
+        mod = FastModulus.get(q, "r52")
+        mod.check_reduced(fa[i])
+        mod.check_reduced(ga[i])
+        metas.append(_chain_meta(steps, q, n, ntt.table.root, psi))
     record_engine_call("parallel", "rns.mul", k * n)
     out = _run_sharded(executor, metas, "rows", {"x": fa, "y": ga}, (k, n, 2))
     return [limbs_to_ints(out[i]) for i in range(k)]

@@ -14,38 +14,22 @@ payload integrity, and engine-cascade degradation for :mod:`repro.par`
   (:class:`FaultPlan`: crash / hang / corrupt / slow at chosen shard
   indices), also driving ``python -m repro chaos``;
 * :mod:`repro.resil.degrade` — :func:`resolve_engine`, the
-  parallel → fast → faithful cascade that keeps ``engine="parallel"``
+  parallel → fast cascade that keeps ``engine="parallel"``
   construction sites from hard-failing on availability problems.
 
 Everything reports through ``resil.*`` / ``par.integrity.*`` metrics on
 the active :mod:`repro.obs` session.
 """
 
-from repro.resil.degrade import (
-    EngineDegradedWarning,
-    numpy_available,
-    resolve_engine,
-)
+from repro.resil.degrade import EngineDegradedWarning, resolve_engine
 from repro.resil.inject import FAULT_KINDS, Fault, FaultPlan
+from repro.resil.integrity import audit_shards, shard_checksum
 from repro.resil.policy import (
     BREAKER_STATES,
     CircuitBreaker,
     Deadline,
     RetryPolicy,
 )
-
-#: Names served lazily from :mod:`repro.resil.integrity`, which needs
-#: NumPy — deferring keeps ``repro.resil`` (and through it the
-#: faithful-engine call sites) importable without it.
-_INTEGRITY_NAMES = ("audit_shards", "shard_checksum")
-
-
-def __getattr__(name: str):
-    if name in _INTEGRITY_NAMES:
-        from repro.resil import integrity
-
-        return getattr(integrity, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BREAKER_STATES",
@@ -57,7 +41,6 @@ __all__ = [
     "FaultPlan",
     "RetryPolicy",
     "audit_shards",
-    "numpy_available",
     "resolve_engine",
     "shard_checksum",
 ]

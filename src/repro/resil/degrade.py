@@ -1,4 +1,4 @@
-"""The engine cascade: parallel → fast → faithful, never hard-fail.
+"""The engine cascade: parallel → fast, never hard-fail.
 
 ``engine="parallel"`` (and ``engine="fast"``) are *performance*
 requests, not correctness requests — all three engines are bit-exact.
@@ -11,8 +11,6 @@ cascade and is called by every engine-switch call site
 
 Degradation triggers:
 
-* **missing NumPy** — both the fast and parallel engines need it;
-  requests degrade all the way to ``"faithful"``;
 * **open circuit breaker** — the process-default pool's breaker is
   open (too many consecutive shard failures), so ``"parallel"``
   degrades to ``"fast"`` until the breaker's half-open probe succeeds;
@@ -46,23 +44,7 @@ class EngineDegradedWarning(UserWarning):
     """A requested execution engine was unavailable; a slower one ran."""
 
 
-_numpy_probe: Optional[bool] = None
 _pool_start_failed_at: Optional[float] = None
-
-
-def numpy_available() -> bool:
-    """Whether the NumPy-backed engines can run (probe result cached)."""
-    if os.environ.get("REPRO_FORCE_NO_NUMPY") == "1":
-        return False
-    global _numpy_probe
-    if _numpy_probe is None:
-        try:
-            import numpy  # noqa: F401
-
-            _numpy_probe = True
-        except ImportError:
-            _numpy_probe = False
-    return _numpy_probe
 
 
 def note_pool_start_failure() -> None:
@@ -100,17 +82,12 @@ def _default_pool_breaker_open() -> bool:
 
 def _resolve(requested: str) -> Tuple[str, Optional[str]]:
     if requested == "parallel":
-        if not numpy_available():
-            return "faithful", "numpy_missing"
         if os.environ.get("REPRO_DISABLE_PARALLEL") == "1":
             return "fast", "disabled"
         if _pool_start_blocked():
             return "fast", "pool_start_failed"
         if _default_pool_breaker_open():
             return "fast", "breaker_open"
-    elif requested == "fast":
-        if not numpy_available():
-            return "faithful", "numpy_missing"
     return requested, None
 
 

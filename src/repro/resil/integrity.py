@@ -16,9 +16,12 @@ worker wrote garbage) and is treated as a *retryable fault*
 re-computes a seeded sample of completed shards on the *faithful*
 engine — the lane-accurate ISA simulation the fast and parallel engines
 are bit-exact against — directly from the input segments, and compares
-against the collected payload. Divergence here means corruption
-survived every checksum and retry, so it raises
-:class:`~repro.errors.ResilIntegrityError` instead of recovering.
+against the collected payload. Every shard is a chain, so the audit
+hands it to the faithful engine's one chain interpreter
+(:func:`repro.ntt.chain.run_chain`), the same one the faithful front
+ends run. Divergence here means corruption survived every checksum and
+retry, so it raises :class:`~repro.errors.ResilIntegrityError` instead
+of recovering.
 This mirrors the self-check practice of production kernels (HEXL-style
 correctness checks around AVX512-IFMA, reference validation in GPU
 modular-arithmetic codegen stacks).
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -94,90 +97,34 @@ def _faithful_rows(view: np.ndarray, bounds: Tuple[int, int]) -> List[List[int]]
 
 
 def _recompute_faithful(spec: dict, views: Dict[str, np.ndarray]) -> List[List[int]]:
-    """One shard's rows, recomputed on the faithful (ISA-simulated) engine."""
+    """One shard's rows, recomputed on the faithful (ISA-simulated) engine.
+
+    Builds the faithful plans the spec names (negacyclic when it carries
+    ``psi``, cyclic when it carries ``n``, BLAS-only otherwise) and
+    hands the chain to the faithful interpreter,
+    :func:`repro.ntt.chain.run_chain`.
+    """
+    from repro.blas.ops import BlasPlan
     from repro.kernels import get_backend
+    from repro.ntt.chain import run_chain
+    from repro.ntt.negacyclic import NegacyclicNtt
+    from repro.ntt.simd import SimdNtt
 
     if spec["op"] != "chain":
         raise ResilienceError(f"cannot audit unknown parallel op {spec['op']!r}")
-    return _faithful_chain(spec, views, spec_bounds(spec), get_backend("scalar"))
-
-
-def _faithful_chain(
-    spec: dict,
-    views: Dict[str, np.ndarray],
-    bounds: Tuple[int, int],
-    backend,
-) -> List[List[int]]:
-    """Interpret a fused chain step-by-step on the faithful engine.
-
-    Every pool shard is a chain, so this is the audit's one interpreter.
-    Mirrors :func:`repro.fast.chain.run_chain` with every primitive
-    replaced by its ISA-simulated (or exact big-int) counterpart:
-    :class:`~repro.ntt.simd.SimdNtt` transforms, explicit psi-power
-    twists, schoolbook pointwise products and
-    :class:`~repro.blas.ops.BlasPlan` vector ops.
-    """
-    from repro.arith.modular import inv_mod
-    from repro.blas.ops import BlasPlan
-    from repro.ntt.simd import SimdNtt
-
+    backend = get_backend("scalar")
     q = int(spec["q"])
-    # BLAS chains carry no transform: they run on the flat element axis.
-    n = int(spec.get("n") or 0)
-    plan = SimdNtt(n, q, backend, root=spec["root"]) if n else None
-    blas = BlasPlan(q, backend)
-    psi = spec.get("psi")
-    twist = untwist = None
-    if psi is not None:
-        psi_inv = inv_mod(int(psi), q)
-        twist = [pow(int(psi), i, q) for i in range(n)]
-        untwist = [pow(psi_inv, i, q) for i in range(n)]
-    names = spec["inputs"]
-    out: List[List[int]] = []
-    for values in zip(*(_faithful_rows(views[name], bounds) for name in names)):
-        regs = dict(zip(names, values))
-        for step in spec["steps"]:
-            kind = step["kind"]
-            if kind == "ntt":
-                method = (
-                    plan.inverse
-                    if step["direction"] == "inverse"
-                    else plan.forward
-                )
-                regs[step["dst"]] = method(
-                    regs[step["src"]],
-                    natural_order=bool(step.get("natural", False)),
-                )
-            elif kind == "twist":
-                tw = untwist if step["which"] == "untwist" else twist
-                if tw is None:
-                    raise ResilienceError(
-                        "cannot audit a chain twist step without psi"
-                    )
-                regs[step["dst"]] = [
-                    v * t % q for v, t in zip(regs[step["src"]], tw)
-                ]
-            elif kind == "pointwise":
-                regs[step["dst"]] = [
-                    a * b % q
-                    for a, b in zip(regs[step["a"]], regs[step["b"]])
-                ]
-            elif kind == "blas":
-                blas_op = step["blas_op"]
-                if blas_op == "axpy":
-                    regs[step["dst"]] = blas.axpy(
-                        int(step["a"]), regs[step["x"]], regs[step["y"]]
-                    )
-                else:
-                    regs[step["dst"]] = getattr(blas, blas_op)(
-                        regs[step["x"]], regs[step["y"]]
-                    )
-            else:
-                raise ResilienceError(
-                    f"cannot audit unknown chain step kind {kind!r}"
-                )
-        out.append(regs["out"])
-    return out
+    ntt = neg = None
+    if spec.get("psi") is not None:
+        neg = NegacyclicNtt(int(spec["n"]), q, backend, psi=int(spec["psi"]))
+        ntt = neg.plan
+    elif spec.get("n"):
+        ntt = SimdNtt(int(spec["n"]), q, backend, root=int(spec["root"]))
+    bounds = spec_bounds(spec)
+    rows = {name: _faithful_rows(views[name], bounds) for name in spec["inputs"]}
+    return run_chain(
+        spec["steps"], rows, ntt, neg=neg, blas=BlasPlan(q, backend)
+    )
 
 
 def sample_specs(

@@ -187,28 +187,12 @@ class RnsPolynomialRing:
             return RnsPolynomial(
                 self, parallel_rns_mul(self, f.residues, g.residues)
             )
-        residues = []
-        for q, fr, gr in zip(self.basis.primes, f.residues, g.residues):
-            if self.negacyclic:
-                residues.append(self._ntt[q].multiply(fr, gr))
-            else:
-                residues.append(self._cyclic_mul(q, fr, gr))
+        product = "multiply" if self.negacyclic else "cyclic_multiply"
+        residues = [
+            getattr(self._ntt[q], product)(fr, gr)
+            for q, fr, gr in zip(self.basis.primes, f.residues, g.residues)
+        ]
         return RnsPolynomial(self, residues)
-
-    def _cyclic_mul(self, q: int, f: List[int], g: List[int]) -> List[int]:
-        plan: SimdNtt = self._ntt[q]  # type: ignore[assignment]
-        if plan.fast_plan is not None:
-            return plan.fast_plan.cyclic_multiply(f, g)
-        fa = plan.forward(f, natural_order=False)
-        ga = plan.forward(g, natural_order=False)
-        backend = self.backend
-        lanes = backend.lanes
-        prod: List[int] = []
-        for base in range(0, self.n, lanes):
-            a = backend.load_block(fa[base : base + lanes])
-            b = backend.load_block(ga[base : base + lanes])
-            prod.extend(backend.store_block(backend.mulmod(a, b, plan.ctx)))
-        return plan.inverse(prod, natural_order=False)
 
     @property
     def ntt_count_per_mul(self) -> int:

@@ -63,6 +63,9 @@ from repro.serve.coalesce import SERVE_OPS, Coalescer, Request
 
 _ENGINES = ("parallel", "fast", "faithful")
 
+#: The plan method each non-BLAS op calls (``blas.<op>`` calls ``<op>``).
+_PLAN_METHODS = {"polymul": "multiply", "ntt": "forward"}
+
 
 @dataclass
 class ServeConfig:
@@ -586,28 +589,18 @@ class ReproService:
         q: Hashable,
         payloads: List[Tuple[Any, ...]],
     ) -> List[Any]:
-        """Run ``payloads`` as one engine batch; one result per payload."""
+        """Run ``payloads`` as one engine batch; one result per payload.
+
+        Every engine's plans take the batch as ``(batch, n)`` row lists,
+        one per operand.
+        """
         if op == "rns.mul":
             return self._execute_rns(engine, n, q, payloads)
-        if op == "polymul":
-            plan = self._plan(engine, "polymul", n, q)
-            if engine == "faithful":
-                return [plan.multiply(f, g) for f, g in payloads]
-            return plan.multiply(
-                [p[0] for p in payloads], [p[1] for p in payloads]
-            )
-        if op == "ntt":
-            plan = self._plan(engine, "ntt", n, q)
-            if engine == "faithful":
-                return [plan.forward(p[0]) for p in payloads]
-            return plan.forward([p[0] for p in payloads])
-        if op.startswith("blas."):
-            plan = self._plan(engine, "blas", n, q)
-            method = getattr(plan, op[len("blas."):])
-            if engine == "faithful":
-                return [method(x, y) for x, y in payloads]
-            return method([p[0] for p in payloads], [p[1] for p in payloads])
-        raise ServeError(f"unknown op {op!r}")  # unreachable (submit checks)
+        family, _, blas_op = op.partition(".")
+        plan = self._plan(engine, family, n, q)
+        method = getattr(plan, _PLAN_METHODS.get(op, blas_op))
+        operands = 1 if op == "ntt" else 2
+        return method(*([p[i] for p in payloads] for i in range(operands)))
 
     def _execute_rns(
         self, engine: str, n: int, q: Hashable, payloads: List[Tuple[Any, ...]]
@@ -635,10 +628,7 @@ class ReproService:
             plan = self._plan(engine, "polymul", n, q_i)
             fs = [list(f[i]) for f, _ in payloads]
             gs = [list(g[i]) for _, g in payloads]
-            if engine == "faithful":
-                channels.append([plan.multiply(x, y) for x, y in zip(fs, gs)])
-            else:
-                channels.append(plan.multiply(fs, gs))
+            channels.append(plan.multiply(fs, gs))
         return [[rows[j] for rows in channels] for j in range(len(payloads))]
 
     def _plan(self, engine: str, family: str, n: int, q: Hashable):

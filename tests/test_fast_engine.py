@@ -321,7 +321,8 @@ class TestFastNttCrossValidation:
     def test_negacyclic_polymul_matches_faithful(self, bits):
         """Fused negacyclic and cyclic products against the faithful engine.
 
-        Flat and ``(batch, n)`` operands, as int lists and as limb arrays.
+        Flat and ``(batch, n)`` operands, as int lists and as limb arrays;
+        the faithful plans take the same row batches.
         """
         q = prime_for(bits)
         n = 32
@@ -331,7 +332,7 @@ class TestFastNttCrossValidation:
         f_rows = [random_vector(rng, q, n) for _ in range(2)]
         g_rows = [random_vector(rng, q, n) for _ in range(2)]
 
-        def faithful_cyclic(f, g):
+        def independent_cyclic(f, g):
             fa = faithful.plan.forward(f, natural_order=False)
             ga = faithful.plan.forward(g, natural_order=False)
             prod = [a * b % q for a, b in zip(fa, ga)]
@@ -339,16 +340,20 @@ class TestFastNttCrossValidation:
 
         cases = (
             (fast.multiply, faithful.multiply),
-            (fast.plan.cyclic_multiply, faithful_cyclic),
+            (fast.plan.cyclic_multiply, faithful.plan.cyclic_multiply),
         )
         for fused, reference in cases:
             want = [reference(f, g) for f, g in zip(f_rows, g_rows)]
+            assert reference(f_rows, g_rows) == want
             assert fused(f_rows[0], g_rows[0]) == want[0]
             assert fused(f_rows, g_rows) == want
             got = fused(limbs_from_ints(f_rows[0]), limbs_from_ints(g_rows[0]))
             assert limbs_to_ints(got) == want[0]
             got = fused(limbs_from_ints(f_rows), limbs_from_ints(g_rows))
             assert limbs_to_ints(got) == want
+        assert faithful.plan.cyclic_multiply(f_rows[0], g_rows[0]) == (
+            independent_cyclic(f_rows[0], g_rows[0])
+        )
 
     def test_batched_equals_unbatched(self):
         q = prime_for(120)
@@ -437,6 +442,25 @@ class TestEngineSwitch:
         spectrum = faithful.forward(data)
         assert fast.forward(data) == spectrum
         assert fast.inverse(spectrum) == data
+        # Faithful plans take the fast twins' (batch, n) row lists.
+        rows = [random_vector(rng, q, n) for _ in range(3)]
+        for natural in (True, False):
+            spectra = faithful.forward(rows, natural_order=natural)
+            assert spectra == fast.forward(rows, natural_order=natural)
+            assert spectra == [
+                faithful.forward(row, natural_order=natural) for row in rows
+            ]
+            assert faithful.inverse(spectra, natural_order=natural) == rows
+            assert fast.inverse(spectra, natural_order=natural) == rows
+        neg_faithful = NegacyclicNtt(n, q, backend)
+        neg_fast = NegacyclicNtt(n, q, backend, engine="fast")
+        twisted = neg_faithful.forward(rows)
+        assert twisted == neg_fast.forward(rows)
+        assert twisted == [neg_faithful.forward(row) for row in rows]
+        assert neg_faithful.inverse(twisted) == rows
+        assert neg_faithful.multiply(rows, rows[::-1]) == (
+            neg_fast.multiply(rows, rows[::-1])
+        )
 
     def test_blas_plan_engines_agree(self):
         q = prime_for(100)
@@ -446,10 +470,19 @@ class TestEngineSwitch:
         rng = random.Random(19)
         x = random_vector(rng, q, 32)
         y = random_vector(rng, q, 32)
+        xs = [random_vector(rng, q, 32) for _ in range(3)]
+        ys = [random_vector(rng, q, 32) for _ in range(3)]
         for op in ("vector_add", "vector_sub", "vector_mul"):
             assert getattr(fast, op)(x, y) == getattr(faithful, op)(x, y)
+            # Row batches, row for row.
+            assert getattr(faithful, op)(xs, ys) == getattr(fast, op)(xs, ys)
+            assert getattr(faithful, op)(xs, ys) == [
+                getattr(faithful, op)(row_x, row_y)
+                for row_x, row_y in zip(xs, ys)
+            ]
         a = rng.randrange(q)
         assert fast.axpy(a, x, y) == faithful.axpy(a, x, y)
+        assert faithful.axpy(a, xs, ys) == fast.axpy(a, xs, ys)
 
     def test_fast_blas_keeps_lane_contract(self):
         # Engine swaps must not loosen the API: a vector length that the

@@ -1,5 +1,10 @@
 """Unit tests for the instruction tracer."""
 
+import random
+
+import pytest
+
+from repro.arith.primes import find_ntt_prime
 from repro.isa import scalar as s
 from repro.isa.trace import (
     TraceEntry,
@@ -9,6 +14,12 @@ from repro.isa.trace import (
     op_bytes,
     tracing,
 )
+from repro.kernels import get_backend
+from repro.ntt.negacyclic import NegacyclicNtt
+from repro.ntt.polymul import simd_ntt_polymul
+from repro.ntt.simd import SimdNtt
+from repro.rns.basis import RnsBasis
+from repro.rns.poly import RnsPolynomialRing
 
 
 class TestTracerBasics:
@@ -127,3 +138,72 @@ class TestTracerSummary:
         summary = t.summary()
         assert summary["op_counts"] == dict(t.op_counts())
         assert (summary["loads"], summary["stores"]) == t.memory_ops()
+
+
+# ---------------------------------------------------------------------------
+# Pinned faithful instruction streams
+# ---------------------------------------------------------------------------
+
+_PIN_Q = find_ntt_prime(60, 1 << 10)
+_PIN_N = 64
+
+
+def _pin_vectors(q=_PIN_Q, n=_PIN_N):
+    rng = random.Random(0)
+    return [rng.randrange(q) for _ in range(n)], [rng.randrange(q) for _ in range(n)]
+
+
+def _rns_cyclic_mul(backend):
+    ring = RnsPolynomialRing(
+        _PIN_N, RnsBasis.generate(2, 30, 1 << 10), backend, negacyclic=False
+    )
+    f, g = _pin_vectors(ring.basis.modulus)
+    ring.mul(ring.encode(f), ring.encode(g))
+
+
+#: call -> traced region; each runs at q = find_ntt_prime(60, 2^10), n = 64.
+_PINNED_CALLS = {
+    "negacyclic-multiply": lambda b: NegacyclicNtt(_PIN_N, _PIN_Q, b).multiply(
+        *_pin_vectors()
+    ),
+    "negacyclic-forward": lambda b: NegacyclicNtt(_PIN_N, _PIN_Q, b).forward(
+        _pin_vectors()[0]
+    ),
+    "simd-inverse-bitrev": lambda b: SimdNtt(_PIN_N, _PIN_Q, b).inverse(
+        _pin_vectors()[0], natural_order=False
+    ),
+    "simd-polymul-32x32": lambda b: simd_ntt_polymul(
+        *(v[:32] for v in _pin_vectors()), _PIN_Q, b
+    ),
+    "rns-cyclic-mul": _rns_cyclic_mul,
+}
+
+#: (call, backend) -> trace entries, fixed so that a refactor of the
+#: faithful engine cannot silently change the instruction stream the
+#: performance model consumes.
+_PINNED_ENTRIES = {
+    ("negacyclic-multiply", "avx512"): 28184,
+    ("negacyclic-multiply", "mqx"): 7656,
+    ("negacyclic-forward", "avx512"): 8184,
+    ("negacyclic-forward", "mqx"): 2264,
+    ("simd-inverse-bitrev", "avx512"): 8168,
+    ("simd-inverse-bitrev", "mqx"): 2248,
+    ("simd-polymul-32x32", "avx512"): 22712,
+    ("simd-polymul-32x32", "mqx"): 6336,
+    ("rns-cyclic-mul", "avx512"): 45424,
+    ("rns-cyclic-mul", "mqx"): 12672,
+}
+
+
+class TestPinnedFaithfulTraces:
+    @pytest.mark.parametrize("call, backend", sorted(_PINNED_ENTRIES))
+    def test_entry_count_is_pinned(self, call, backend):
+        with tracing() as t:
+            _PINNED_CALLS[call](get_backend(backend))
+        assert t.summary()["entries"] == _PINNED_ENTRIES[(call, backend)]
+
+    def test_negacyclic_multiply_memory_ops(self):
+        with tracing() as t:
+            _PINNED_CALLS["negacyclic-multiply"](get_backend("avx512"))
+        summary = t.summary()
+        assert (summary["loads"], summary["stores"]) == (576, 368)

@@ -41,6 +41,20 @@ class TestSimdPolymul:
         g = random_residues(rng, q, 16)
         assert simd_ntt_polymul(f, g, q, backend) == schoolbook_polymul(f, g, q)
 
+    @pytest.mark.parametrize("engine", ["faithful", "fast"])
+    @pytest.mark.parametrize("name", ["avx2", "avx512"])
+    def test_short_products_fill_lane_blocks(self, name, engine, rng):
+        # Short products pad to at least 2 * lanes points, so even a
+        # one-coefficient output fits the widest backend's blocks.
+        q = BIG_Q
+        backend = get_backend(name)
+        for out_len in range(1, 16):
+            len_f = (out_len + 1) // 2
+            f = random_residues(rng, q, len_f)
+            g = random_residues(rng, q, out_len + 1 - len_f)
+            got = simd_ntt_polymul(f, g, q, backend, engine=engine)
+            assert got == schoolbook_polymul(f, g, q)
+
     def test_reusable_plan(self, rng):
         q = BIG_Q
         backend = get_backend("mqx")

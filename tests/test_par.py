@@ -149,11 +149,32 @@ class TestEnginePlumbing:
             ring_fast = RnsPolynomialRing(
                 N, basis, backend, negacyclic=negacyclic, engine="fast"
             )
+            ring_faithful = RnsPolynomialRing(
+                N, basis, backend, negacyclic=negacyclic
+            )
             got = ring_par.mul(ring_par.encode(coeffs_f), ring_par.encode(coeffs_g))
             want = ring_fast.mul(
                 ring_fast.encode(coeffs_f), ring_fast.encode(coeffs_g)
             )
             assert got.residues == want.residues
+            faithful = ring_faithful.mul(
+                ring_faithful.encode(coeffs_f), ring_faithful.encode(coeffs_g)
+            )
+            assert faithful.residues == want.residues
+
+    @pytest.mark.parametrize("negacyclic", [True, False])
+    def test_parallel_rns_mul_on_faithful_ring(self, pool, negacyclic):
+        # The pool needs only n and each prime's psi/root, which every
+        # engine's plans carry: a default (faithful) ring works too.
+        basis = RnsBasis.generate(2, 62, 2 * N)
+        ring = RnsPolynomialRing(
+            N, basis, get_backend("avx2"), negacyclic=negacyclic
+        )
+        rng = random.Random(31)
+        f = ring.encode([rng.randrange(basis.modulus) for _ in range(N)])
+        g = ring.encode([rng.randrange(basis.modulus) for _ in range(N)])
+        got = parallel_rns_mul(ring, f.residues, g.residues, executor=pool)
+        assert got == ring.mul(f, g).residues
 
     def test_parallel_rns_mul_rejects_unreduced_residue(self, pool):
         backend = get_backend("mqx")

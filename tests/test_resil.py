@@ -665,13 +665,6 @@ class TestEngineCascade:
         with pytest.warns(EngineDegradedWarning):
             assert degrade.resolve_engine("parallel") == "fast"
 
-    def test_missing_numpy_degrades_to_faithful(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_NO_NUMPY", "1")
-        with pytest.warns(EngineDegradedWarning):
-            assert degrade.resolve_engine("parallel") == "faithful"
-        with pytest.warns(EngineDegradedWarning):
-            assert degrade.resolve_engine("fast") == "faithful"
-
     def test_pool_start_failure_window(self):
         degrade.note_pool_start_failure()
         with pytest.warns(EngineDegradedWarning):

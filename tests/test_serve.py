@@ -296,9 +296,18 @@ class TestServiceBitExact:
         assert not isinstance(results[3], ServeOverloadError)
         assert stats["completed"] == 3 and stats["failed"] == 1
 
-    @pytest.mark.parametrize("engine", ["fast", "parallel"])
-    def test_rns_mul_matches_faithful_ring(self, engine):
-        ring, requests, expected = _rns_requests(seed=12, count=3)
+    @pytest.mark.parametrize(
+        "engine, ring_engine",
+        [(engine, ring_engine)
+         for ring_engine in ("fast", "faithful")
+         for engine in ("fast", "parallel", "faithful")],
+        ids=["fast", "parallel", "faithful", "fast-faithful_ring",
+             "parallel-faithful_ring", "faithful-faithful_ring"],
+    )
+    def test_rns_mul_matches_faithful_ring(self, engine, ring_engine):
+        ring, requests, expected = _rns_requests(
+            seed=12, count=3, engine=ring_engine
+        )
 
         async def drive():
             service = ReproService(config=ServeConfig(
@@ -315,6 +324,36 @@ class TestServiceBitExact:
         got, stats = asyncio.run(drive())
         assert got == expected
         assert stats["completed"] == 3 and stats["degraded"] == 0
+
+    @pytest.mark.parametrize("op", SERVE_OPS)
+    def test_faithful_engine_matches_fast(self, op):
+        """A faithful batch is bit-identical to the same batch on fast."""
+        if op == "rns.mul":
+            ring, payloads, _ = _rns_requests(seed=14, count=3)
+            modulus = ring.basis.modulus
+        else:
+            ring, modulus = None, Q
+            payloads = _pairs(seed=13, count=3)
+            if op == "ntt":
+                payloads = [(f,) for f, _ in payloads]
+
+        async def drive(engine):
+            service = ReproService(config=ServeConfig(
+                engine=engine, max_batch=3, max_wait_s=60.0,
+            ))
+            if ring is not None:
+                service.register_ring(ring)
+            async with service:
+                got = await asyncio.gather(*(
+                    service.submit(op, payload, N, modulus)
+                    for payload in payloads
+                ))
+            return got, dict(service.stats)
+
+        got, stats = asyncio.run(drive("faithful"))
+        want, _ = asyncio.run(drive("fast"))
+        assert got == want
+        assert stats["completed"] == 3 and stats["batches"] == 1
 
     def test_rns_mul_requires_registration(self):
         async def drive():
