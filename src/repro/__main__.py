@@ -146,6 +146,7 @@ def _cmd_par(args: argparse.Namespace) -> int:
     import time
 
     from repro.obs import observing
+    from repro.obs.reader import MetricsView
     from repro.par import ParNtt, ParallelExecutor
     from repro.rns.basis import RnsBasis
     from repro.rns.poly import RnsPolynomialRing
@@ -188,9 +189,7 @@ def _cmd_par(args: argparse.Namespace) -> int:
             "par.fallbacks",
             "par.workers.restarted",
         ):
-            metric = session.metrics.get(name)
-            value = metric.value if metric is not None else 0
-            print(f"{name}: {value:g}")
+            print(f"{name}: {MetricsView(session.metrics).value(name):g}")
     return 0
 
 

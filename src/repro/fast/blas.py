@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import ArithmeticDomainError
 from repro.fast.limbs import limbs_from_ints, limbs_to_ints, r52_join, r52_split
 from repro.fast.modular import FastModulus
-from repro.obs.hooks import engine_run_span, record_engine_call, record_r52_call
+from repro.obs.hooks import count, engine_run_span
 from repro.util.checks import check_reduced
 
 IntMatrix = Union[Sequence[int], Sequence[Sequence[int]], np.ndarray]
@@ -60,7 +60,6 @@ class FastBlasPlan:
         NumPy passes, cheaper than the repack either side would cost.
         """
         xa, ya, as_ints = self._coerce_pair(x, y)
-        record_engine_call("fast", "blas.vector_add", xa.size // 2)
         with engine_run_span(
             "fast", "blas.vector_add", xa.size // 2, mode=self.mode
         ):
@@ -70,7 +69,6 @@ class FastBlasPlan:
     def vector_sub(self, x: IntMatrix, y: IntMatrix) -> IntMatrix:
         """Point-wise ``(x - y) mod q`` (double-word path, like add)."""
         xa, ya, as_ints = self._coerce_pair(x, y)
-        record_engine_call("fast", "blas.vector_sub", xa.size // 2)
         with engine_run_span(
             "fast", "blas.vector_sub", xa.size // 2, mode=self.mode
         ):
@@ -80,9 +78,9 @@ class FastBlasPlan:
     def vector_mul(self, x: IntMatrix, y: IntMatrix) -> IntMatrix:
         """Point-wise ``(x * y) mod q``."""
         xa, ya, as_ints = self._coerce_pair(x, y)
-        record_engine_call("fast", "blas.vector_mul", xa.size // 2)
         if self.mod.r52 is not None:
-            record_r52_call("blas.vector_mul", xa.size // 2)
+            count("engine.fast.r52.calls.<op>", "blas.vector_mul")
+            count("engine.fast.r52.elements.<op>", "blas.vector_mul", amount=xa.size // 2)
         with engine_run_span(
             "fast", "blas.vector_mul", xa.size // 2, mode=self.mode
         ):
@@ -99,9 +97,9 @@ class FastBlasPlan:
         """
         check_reduced(a, self.q, "a")
         xa, ya, as_ints = self._coerce_pair(x, y)
-        record_engine_call("fast", "blas.axpy", xa.size // 2)
         if self.mod.r52 is not None:
-            record_r52_call("blas.axpy", xa.size // 2)
+            count("engine.fast.r52.calls.<op>", "blas.axpy")
+            count("engine.fast.r52.elements.<op>", "blas.axpy", amount=xa.size // 2)
         with engine_run_span("fast", "blas.axpy", xa.size // 2, mode=self.mode):
             if self.mod.r52 is not None:
                 r = self.mod.r52

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import NttParameterError
-from repro.obs.hooks import engine_run_span, record_engine_call, record_r52_call
+from repro.obs.hooks import count, engine_run_span
 
 if TYPE_CHECKING:  # annotations only: repro.ntt imports the step tuples
     from repro.fast.blas import FastBlasPlan
@@ -249,8 +249,8 @@ def run_chain(
         """Count one fused kernel call and open its engine span."""
         tag, val = value
         elements = val.size // 2 if tag == "dw" else val[0].size
-        record_engine_call("fast", op, elements)
-        record_r52_call(op, elements)
+        count("engine.fast.r52.calls.<op>", op)
+        count("engine.fast.r52.elements.<op>", op, amount=elements)
         return engine_run_span("fast", op, elements, mode="r52")
 
     for step in steps:

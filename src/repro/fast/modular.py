@@ -40,7 +40,7 @@ from repro.fast.limbs import (
     wide_mul_128,
 )
 from repro.fast.r52 import get_r52_modulus, resolve_substrate
-from repro.obs.hooks import record_fastmod_eviction
+from repro.obs.hooks import count
 
 #: Process-wide memoized moduli, keyed by ``(q, resolved_mode)`` and
 #: LRU-bounded like the twiddle cache (see ``FastModulus.get``): an RNS
@@ -133,7 +133,7 @@ class FastModulus:
             _MODULUS_CACHE.move_to_end(key)
             while len(_MODULUS_CACHE) > DEFAULT_CACHE_CAPACITY:
                 _MODULUS_CACHE.popitem(last=False)
-                record_fastmod_eviction()
+                count("fastmod.evictions")
         return mod
 
     @classmethod

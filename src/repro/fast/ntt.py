@@ -37,7 +37,7 @@ from repro.fast.limbs import IntVector, limbs_to_ints
 from repro.fast.modular import FastModulus
 from repro.fast.r52 import R52Ntt
 from repro.ntt.twiddles import TwiddleTable, bit_reverse
-from repro.obs.hooks import engine_run_span, record_engine_call, record_r52_call
+from repro.obs.hooks import count, engine_run_span
 from repro.util.checks import check_power_of_two
 
 IntMatrix = Union[List[int], List[List[int]], np.ndarray]
@@ -122,9 +122,9 @@ class FastNtt:
         fa, as_ints = self._coerce(f)
         ga, _ = self._coerce(g)
         mod = self._pointwise_mod
-        record_engine_call("fast", "ntt.pointwise", fa.size // 2)
         if mod.r52 is not None:
-            record_r52_call("ntt.pointwise", fa.size // 2)
+            count("engine.fast.r52.calls.<op>", "ntt.pointwise")
+            count("engine.fast.r52.elements.<op>", "ntt.pointwise", amount=fa.size // 2)
         with engine_run_span("fast", "ntt.pointwise", fa.size // 2, mode=mod.mode):
             out = mod.mulmod(fa, ga)
         return limbs_to_ints(out) if as_ints else out
@@ -222,7 +222,6 @@ class FastNegacyclic:
         twist, transforms, pointwise product and untwist all run on the
         resident substrate between a single pack and a single unpack.
         """
-        record_engine_call("fast", "ntt.polymul", self.n)
         with engine_run_span("fast", "ntt.polymul", self.n, mode=self.mode):
             return self.plan._fused(NEGACYCLIC_MUL_STEPS, f, g, neg=self)
 

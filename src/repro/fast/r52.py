@@ -57,7 +57,7 @@ from repro.fast.limbs import (
     r52_split,
 )
 from repro.ntt.twiddles import TwiddleTable
-from repro.obs.hooks import record_r52_carry_flush
+from repro.obs.hooks import count
 
 #: Valid values for the ``mode=`` kwarg of ``FastModulus``/``FastBlasPlan``.
 FAST_MODES = ("auto", "r52", "dw")
@@ -543,7 +543,7 @@ class R52Ntt:
                 out[k][..., 0::2] = plus[k]
                 out[k][..., 1::2] = minus[k]
             x = out
-        record_r52_carry_flush(stages + 1)
+        count("engine.fast.r52.carry_flushes", amount=stages + 1)
         return mod.reduce_from_lazy(x)
 
 

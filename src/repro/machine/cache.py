@@ -19,7 +19,7 @@ from typing import List, Tuple
 
 from repro.errors import MachineModelError
 from repro.machine.cpu import CpuSpec
-from repro.obs.hooks import record_cache_access, record_cache_traffic
+from repro.obs.hooks import count
 
 #: Level names, index-aligned with :attr:`CacheModel.levels`.
 _LEVEL_NAMES = ("L1", "L2", "L3", "DRAM")
@@ -76,14 +76,14 @@ class CacheModel:
         if working_set_bytes < 0:
             raise MachineModelError("working set must be non-negative")
         index = self._level_index(working_set_bytes)
-        record_cache_access(_LEVEL_NAMES[index])
+        count("cache.access.<level>", _LEVEL_NAMES[index])
         return self.levels[index][1]
 
     def memory_cycles(
         self, traffic: MemoryTraffic, working_set_bytes: float
     ) -> float:
         """Cycles needed to move one block's bytes at the working-set BW."""
-        record_cache_traffic(traffic.total_bytes)
+        count("cache.bytes_modeled", amount=traffic.total_bytes)
         return traffic.total_bytes / self.bandwidth_for(working_set_bytes)
 
     def level_name(self, working_set_bytes: float) -> str:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.errors import ArithmeticDomainError, NttParameterError
 from repro.fast.chain import OUT_REGISTER
-from repro.obs.hooks import record_engine_call
+from repro.obs.hooks import count
 from repro.util.checks import check_reduced, check_vector_length
 
 if TYPE_CHECKING:  # both modules import this one
@@ -112,9 +112,9 @@ def _run_row(steps, regs, ntt, neg, blas) -> List[int]:
         kind = step["kind"]
         if kind == "ntt":
             inverse = step["direction"] == "inverse"
-            record_engine_call(
-                "faithful", "ntt.inverse" if inverse else "ntt.forward", ntt.n
-            )
+            op = "ntt.inverse" if inverse else "ntt.forward"
+            count("engine.<engine>.calls.<op>", "faithful", op)
+            count("engine.<engine>.elements.<op>", "faithful", op, amount=ntt.n)
             value = ntt._transform(
                 regs[step["src"]], inverse, bool(step.get("natural", False))
             )
@@ -135,7 +135,9 @@ def _run_row(steps, regs, ntt, neg, blas) -> List[int]:
             value = blocked(ntt.backend, ntt.ctx, "vector_mul", a, b)
         elif kind == "blas":
             op, x = step["blas_op"], regs[step["x"]]
-            record_engine_call("faithful", f"blas.{op}", len(x))
+            label = f"blas.{op}"
+            count("engine.<engine>.calls.<op>", "faithful", label)
+            count("engine.<engine>.elements.<op>", "faithful", label, amount=len(x))
             value = blocked(
                 blas.backend, blas.ctx, op, x, regs[step["y"]], step.get("a")
             )

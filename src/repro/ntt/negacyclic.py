@@ -37,7 +37,7 @@ from repro.fast.chain import (
 from repro.kernels.backend import Backend
 from repro.ntt.chain import run_chain
 from repro.ntt.simd import SimdNtt
-from repro.obs.hooks import record_engine_call
+from repro.obs.hooks import count
 from repro.util.checks import check_power_of_two
 
 
@@ -133,7 +133,8 @@ class NegacyclicNtt:
         twin = self.par_plan or self.fast_plan
         if twin is not None:
             return twin.multiply(f, g)
-        record_engine_call("faithful", "ntt.polymul", self.n)
+        count("engine.<engine>.calls.<op>", "faithful", "ntt.polymul")
+        count("engine.<engine>.elements.<op>", "faithful", "ntt.polymul", amount=self.n)
         return self._run(NEGACYCLIC_MUL_STEPS, x=f, y=g)
 
     def _run(self, steps, **inputs):

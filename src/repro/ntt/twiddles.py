@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 from repro.arith.modular import inv_mod, pow_mod
 from repro.arith.primes import root_of_unity
 from repro.errors import NttParameterError
-from repro.obs.hooks import record_twiddle_eviction
+from repro.obs.hooks import count
 from repro.util.checks import check_power_of_two
 
 #: Process-wide memoized tables, keyed by ``(n, q, root)`` with ``root=0``
@@ -54,7 +54,7 @@ def _evict_over_capacity() -> None:
         victim = next(iter(_TABLE_CACHE.values()))
         for key in [k for k, t in _TABLE_CACHE.items() if t is victim]:
             del _TABLE_CACHE[key]
-        record_twiddle_eviction()
+        count("twiddle.evictions")
 
 
 def bit_reverse(index: int, bits: int) -> int:

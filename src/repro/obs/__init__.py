@@ -9,9 +9,13 @@ methodology is (LLVM-MCA port-pressure reports, PISA validation tables):
   disabled path (``with span("schedule"): ...``).
 * :mod:`repro.obs.metrics` — counters / gauges / histograms with exact
   percentiles.
-* :mod:`repro.obs.hooks` — the permanent instrumentation points wired
-  into :mod:`repro.isa.trace`, :mod:`repro.machine.scheduler` and
-  :mod:`repro.machine.cache`.
+* :mod:`repro.obs.catalog` — every metric family declared once (name
+  pattern, kind, unit, meaning); label lifting and the docs table derive
+  from it.
+* :mod:`repro.obs.hooks` — the ``count``/``observe``/``set_gauge``
+  emitters over catalogue patterns, plus the hooks that open spans,
+  feed the flight recorder or summarise traces and schedules.
+* :mod:`repro.obs.reader` — the one metric reader every report uses.
 * :mod:`repro.obs.export` — JSON-lines and Chrome trace-event exporters
   (open the latter in ``chrome://tracing`` or Perfetto) plus text tables.
 * :mod:`repro.obs.snapshot` — the ``BENCH_pipeline.json`` perf-snapshot

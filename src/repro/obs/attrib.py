@@ -47,9 +47,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
+from repro.obs.dist import slot_numbers
+from repro.obs.reader import MetricsView, serve_summary
 from repro.obs.session import ObsSession
 
 #: Ledger categories, display order. Values are wall-equivalent seconds.
@@ -145,105 +147,6 @@ def _span_tuples(spans: Iterable) -> List[Tuple[str, float, float, dict]]:
     return out
 
 
-def _metric_map(metrics) -> Dict[str, Dict[str, object]]:
-    """Normalize a MetricsRegistry / snapshot dict to ``{name: snapshot}``."""
-    if metrics is None:
-        return {}
-    if hasattr(metrics, "snapshot"):
-        return metrics.snapshot()
-    return dict(metrics)
-
-
-def _counter(metric_map: Dict[str, dict], name: str) -> float:
-    data = metric_map.get(name)
-    if not data or data.get("type") not in ("counter", "gauge"):
-        return 0.0
-    value = data.get("value")
-    return float(value) if value is not None else 0.0
-
-
-def _hist_sum(metric_map: Dict[str, dict], name: str) -> float:
-    data = metric_map.get(name)
-    if not data or data.get("type") != "histogram":
-        return 0.0
-    return float(data.get("sum", 0.0) or 0.0)
-
-
-def _hist_stat(metric_map: Dict[str, dict], name: str, key: str) -> float:
-    data = metric_map.get(name)
-    if not data or data.get("type") != "histogram":
-        return 0.0
-    value = data.get(key)
-    return float(value) if value is not None else 0.0
-
-
-def _serve_section(metric_map: Dict[str, dict]) -> Dict[str, object]:
-    """Summarize serve-layer metrics (empty dict when no serve traffic).
-
-    Complements the slot-second ledger with the front-door view: how
-    many requests came in, how well coalescing filled batches, and where
-    the queue-wait decomposition says request time went.
-    """
-    admitted = _counter(metric_map, "serve.requests.admitted")
-    shed = _counter(metric_map, "serve.shed")
-    if not admitted and not shed:
-        return {}
-    batches = _counter(metric_map, "serve.batches")
-    section: Dict[str, object] = {
-        "admitted": admitted,
-        "completed": _counter(metric_map, "serve.requests.completed"),
-        "failed": _counter(metric_map, "serve.requests.failed"),
-        "shed": shed,
-        "degraded": _counter(metric_map, "serve.degraded"),
-        "batches": batches,
-        "coalesce_fill": _hist_stat(
-            metric_map, "serve.coalesce.batch_size", "mean"
-        ),
-        "batch_wait_p99_s": _hist_stat(
-            metric_map, "serve.batch.wait_s", "p99"
-        ),
-        "backlog_depth": _counter(metric_map, "serve.queue.depth"),
-        "latency_p99_s": _hist_stat(
-            metric_map, "serve.request.latency_s", "p99"
-        ),
-    }
-    # Queue-wait decomposition per op: one row per op that completed at
-    # least one sliced request (requests resolved without dispatch, e.g.
-    # deadline failures, record no slices and are absent here).
-    ops: Dict[str, Dict[str, float]] = {}
-    prefix = "serve.queue_wait_s."
-    for name in metric_map:
-        if not name.startswith(prefix):
-            continue
-        op = name[len(prefix):]
-        ops[op] = {
-            "coalesce_wait_p99_s": _hist_stat(
-                metric_map, f"serve.coalesce_wait_s.{op}", "p99"
-            ),
-            "queue_wait_p99_s": _hist_stat(metric_map, name, "p99"),
-            "compute_p99_s": _hist_stat(
-                metric_map, f"serve.compute_s.{op}", "p99"
-            ),
-            "latency_p99_s": _hist_stat(
-                metric_map, f"serve.latency_s.{op}", "p99"
-            ),
-        }
-    if ops:
-        section["ops"] = ops
-    return section
-
-
-def _slot_numbers(metric_map: Dict[str, dict]) -> List[int]:
-    slots = set()
-    for name in metric_map:
-        if not name.startswith("par.slot."):
-            continue
-        part = name.split(".")[2]
-        if part.isdigit():
-            slots.add(int(part))
-    return sorted(slots)
-
-
 # ---------------------------------------------------------------------------
 # Attribution proper
 # ---------------------------------------------------------------------------
@@ -265,7 +168,7 @@ def attribute(
     defaults to the worker slots that reported telemetry.
     """
     span_rows = _span_tuples(spans)
-    metric_map = _metric_map(metrics)
+    view = MetricsView(metrics)
     event_rows = [dict(e) for e in (events or [])]
 
     run_spans = [row for row in span_rows if row[0] == "par.run"]
@@ -278,7 +181,7 @@ def attribute(
         wall_s = sum(row[2] for row in run_spans)
     wall_s = float(wall_s)
 
-    slot_ids = _slot_numbers(metric_map)
+    slot_ids = slot_numbers(view)
     if slots is None:
         slots = len(slot_ids)
     if slots < 1:
@@ -288,16 +191,16 @@ def attribute(
         )
 
     # --- the exclusive slot-second ledger ------------------------------
-    compute = _hist_sum(metric_map, "par.worker.compute_s")
-    shm = _hist_sum(metric_map, "par.worker.map_shm_s") + _hist_sum(
-        metric_map, "par.worker.checksum_s"
+    compute = view.stat("par.worker.compute_s", "sum")
+    shm = view.stat("par.worker.map_shm_s", "sum") + view.stat(
+        "par.worker.checksum_s", "sum"
     )
-    plan = _hist_sum(metric_map, "par.worker.plan_s")
+    plan = view.stat("par.worker.plan_s", "sum")
 
     busy_total = 0.0
     idle = 0.0
     for slot in slot_ids:
-        busy = _counter(metric_map, f"par.slot.{slot}.busy_s")
+        busy = view.value(f"par.slot.{slot}.busy_s")
         busy_total += busy
         idle += max(0.0, wall_s - busy)
     # Slots the caller knows about but that never reported telemetry
@@ -321,34 +224,29 @@ def attribute(
     diagnostics = {
         "dispatch_s": dispatch,
         "queue_wait_s": queue_wait,
-        "backoff_s": _hist_sum(metric_map, "resil.retry.backoff_s"),
+        "backoff_s": view.stat("resil.retry.backoff_s", "sum"),
         "fallback_s": fallback,
-        "retries": _counter(metric_map, "par.retries"),
-        "fallbacks": _counter(metric_map, "par.fallbacks"),
-        "stale_blobs": _counter(metric_map, "par.telemetry.stale"),
-        "merged_blobs": _counter(metric_map, "par.telemetry.blobs"),
-        "arena_leases": _counter(metric_map, "par.arena.leases"),
-        "arena_reuses": _counter(metric_map, "par.arena.reuses"),
-        "arena_creates": _counter(metric_map, "par.arena.creates"),
-        "arena_high_water_bytes": _counter(
-            metric_map, "par.arena.high_water_bytes"
-        ),
-        "fused_chains": _counter(metric_map, "par.fused.chains"),
-        "fused_steps": _counter(metric_map, "par.fused.steps"),
-        "saved_dispatches": _counter(
-            metric_map, "par.adaptive.saved_dispatches"
-        ),
-        "seg_cache_hits": _counter(metric_map, "par.worker.seg_cache.hits"),
-        "seg_cache_misses": _counter(
-            metric_map, "par.worker.seg_cache.misses"
-        ),
+        "retries": view.value("par.retries"),
+        "fallbacks": view.value("par.fallbacks"),
+        "stale_blobs": view.value("par.telemetry.stale"),
+        "merged_blobs": view.value("par.telemetry.blobs"),
+        "arena_leases": view.value("par.arena.leases"),
+        "arena_reuses": view.value("par.arena.reuses"),
+        "arena_creates": view.value("par.arena.creates"),
+        "arena_high_water_bytes": view.value("par.arena.high_water_bytes"),
+        "fused_chains": view.value("par.fused.chains"),
+        "fused_steps": view.value("par.fused.steps"),
+        "saved_dispatches": view.value("par.adaptive.saved_dispatches"),
+        "seg_cache_hits": view.value("par.worker.seg_cache.hits"),
+        "seg_cache_misses": view.value("par.worker.seg_cache.misses"),
     }
 
-    shards = int(_counter(metric_map, "par.shards.dispatched"))
+    shards = int(view.value("par.shards.dispatched"))
     if not shards:
         shards = sum(
             1 for row in span_rows if row[0] == "par.worker.shard"
         )
+    serve = serve_summary(view)
     return Attribution(
         wall_s=wall_s,
         slots=int(slots),
@@ -357,7 +255,7 @@ def attribute(
         ledger=ledger,
         slot_seconds=slot_seconds,
         diagnostics=diagnostics,
-        serve=_serve_section(metric_map),
+        serve=serve if serve["admitted"] or serve["shed"] else {},
         serial_compute_s=compute,
     )
 

@@ -143,8 +143,9 @@ def merge_blob(session: ObsSession, blob: Dict[str, object], slot: int) -> None:
     Spans are re-anchored from the worker's monotonic clock onto the
     parent sink's epoch (clamped at zero against cross-clock skew) and
     tagged with the shard's correlation ids plus the worker's slot/pid
-    lane attributes; durations additionally feed ``par.worker.<phase>_s``
-    histograms, and per-slot rollups (``par.slot.<k>.shards`` /
+    lane attributes; the ``par.worker.<phase>`` span durations (the
+    ones :mod:`repro.obs.attrib` reads) additionally feed
+    ``par.worker.<phase>_s`` histograms, and per-slot rollups (``par.slot.<k>.shards`` /
     ``.busy_s`` / ``.shard_wall_s`` / ``.cache.plans`` / ``.pid``) keep
     the straggler/imbalance summary cheap to derive.
     """
@@ -176,7 +177,8 @@ def merge_blob(session: ObsSession, blob: Dict[str, object], slot: int) -> None:
                 attrs=merged,
             )
         )
-        metrics.histogram(f"{name}_s").observe(float(duration_s))
+        if name.startswith("par.worker."):
+            metrics.histogram(f"{name}_s").observe(float(duration_s))
     wall_s = float(blob.get("wall_s", 0.0))
     metrics.counter("par.telemetry.blobs").inc()
     metrics.counter(f"par.slot.{slot}.shards").inc()

@@ -47,6 +47,8 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.obs.reader import MetricsView
+
 #: Schema tag written into every incident dump.
 INCIDENT_FORMAT = "repro.obs.incident/v1"
 
@@ -328,7 +330,7 @@ def summarize_incident(data: Dict[str, object]) -> str:
     """One human-readable block for one parsed incident dump."""
     trigger = data.get("trigger", {})
     captured = data.get("captured", {})
-    metrics = data.get("metrics", {})
+    metrics = MetricsView(data.get("metrics"))
     folded = [
         str(extra.get("rule")) for extra in trigger.get("also", []) or []
     ]
@@ -357,9 +359,9 @@ def summarize_incident(data: Dict[str, object]) -> str:
         "resil.breaker.open",
         "par.workers.restarted",
     ):
-        snap = metrics.get(name)
-        if isinstance(snap, dict) and snap.get("value"):
-            highlights.append(f"{name}={snap['value']:g}")
+        value = metrics.value(name)
+        if value:
+            highlights.append(f"{name}={value:g}")
     if highlights:
         lines.append("  metrics: " + "  ".join(highlights))
     return "\n".join(lines)

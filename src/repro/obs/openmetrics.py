@@ -11,9 +11,10 @@ Three pieces:
 
 * :func:`render_openmetrics` — registry → exposition text. Dotted repro
   names are mangled to the ``[a-zA-Z0-9_:]`` charset with a ``repro_``
-  prefix, well-known dynamic name segments (worker slot, ISA mnemonic,
-  cache level, scheduler port, engine/op) are lifted into **labels**
-  instead of exploding the family namespace, counters gain the
+  prefix, the dynamic name segments :mod:`repro.obs.catalog` declares
+  (worker slot, ISA mnemonic, cache level, scheduler port, engine/op,
+  serve op/tenant/reason) are lifted into **labels** instead of
+  exploding the family namespace, counters gain the
   spec-mandated ``_total`` sample suffix, and histograms are exposed
   with cumulative ``le`` buckets derived from the stored observations
   (scaled proportionally once a reservoir-sampled histogram no longer
@@ -37,7 +38,7 @@ import math
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -57,116 +58,26 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: Rules lifting well-known dynamic name segments into labels. Each is
-#: ``(compiled regex, family template, {label: group index})``; the
-#: first match wins, everything else keeps its full (mangled) name.
-_LABEL_RULES: Tuple[Tuple[re.Pattern, str, Dict[str, int]], ...] = (
-    (re.compile(r"^par\.slot\.(\d+)\.(.+)$"), "par.slot.{1}", {"slot": 0}),
-    (re.compile(r"^isa\.ops\.(.+)$"), "isa.ops", {"op": 0}),
-    (re.compile(r"^cache\.access\.(.+)$"), "cache.access", {"level": 0}),
-    (re.compile(r"^sched\.port\.(.+)$"), "sched.port", {"port": 0}),
-    (re.compile(r"^sched\.util\.(.+)$"), "sched.util", {"port": 0}),
-    (
-        re.compile(r"^engine\.([^.]+)\.(calls|elements)\.(.+)$"),
-        "engine.{1}",
-        {"engine": 0, "op": 2},
-    ),
-    (
-        re.compile(r"^resil\.degraded\.(.+)$"),
-        "resil.degraded.by_reason",
-        {"reason": 0},
-    ),
-    (
-        re.compile(r"^resil\.breaker\.state_code$"),
-        "resil.breaker.state_code",
-        {},
-    ),
-    (
-        re.compile(r"^resil\.breaker\.(.+)$"),
-        "resil.breaker.transitions",
-        {"state": 0},
-    ),
-    # Serve-layer families (PR 10): per-op/tenant/reason name segments
-    # become labels so the scrape surface stays a fixed family set no
-    # matter how many tenants or ops traffic brings.
-    (
-        re.compile(r"^serve\.slo\.violations\.tenant\.(.+)$"),
-        "serve.slo.violations.by_tenant",
-        {"tenant": 0},
-    ),
-    (
-        re.compile(r"^serve\.slo\.violations\.(.+)$"),
-        "serve.slo.violations.by_op",
-        {"op": 0},
-    ),
-    (
-        re.compile(
-            r"^serve\.slo\.(p99_ms|target_ms|burn_rate|breach_windows)\.(.+)$"
-        ),
-        "serve.slo.{1}",
-        {"op": 1},
-    ),
-    (
-        re.compile(r"^serve\.tenant\.([^.]+)\.(.+)$"),
-        "serve.tenant.{1}",
-        {"tenant": 0},
-    ),
-    (
-        re.compile(
-            r"^serve\.(latency_s|queue_wait_s|coalesce_wait_s|compute_s)\.(.+)$"
-        ),
-        "serve.{1}",
-        {"op": 1},
-    ),
-    (
-        re.compile(r"^serve\.shed\.(.+)$"),
-        "serve.shed.by_reason",
-        {"reason": 0},
-    ),
-    (
-        re.compile(r"^serve\.degraded\.(.+)$"),
-        "serve.degraded.by_reason",
-        {"reason": 0},
-    ),
-    (
-        re.compile(r"^serve\.failed\.(.+)$"),
-        "serve.failed.by_kind",
-        {"kind": 0},
-    ),
-    (
-        re.compile(r"^serve\.(admitted|batched)\.(.+)$"),
-        "serve.{1}.by_op",
-        {"op": 1},
-    ),
-)
+def mangle_family(family: str, prefix: str = "repro_") -> str:
+    """Map a dotted family to the exposition's ``[a-zA-Z0-9_:]`` charset."""
+    mangled = re.sub(r"[^a-zA-Z0-9_:]", "_", prefix + family)
+    if not _NAME_RE.match(mangled):
+        mangled = "_" + mangled
+    return mangled
 
 
 def mangle_name(name: str, prefix: str = "repro_") -> Tuple[str, Dict[str, str]]:
     """Map one dotted repro metric name to ``(family, labels)``.
 
+    The label segments are the ones :mod:`repro.obs.catalog` declares:
     ``par.slot.0.busy_s`` becomes ``("repro_par_slot_busy_s",
-    {"slot": "0"})``; a name matching no label rule is mangled whole.
+    {"slot": "0"})``; a name the catalogue does not declare is mangled
+    whole.
     """
-    labels: Dict[str, str] = {}
-    family = name
-    for pattern, template, groups in _LABEL_RULES:
-        match = pattern.match(name)
-        if match is None:
-            continue
-        parts = match.groups()
-        labels = {key: parts[index] for key, index in groups.items()}
-        kept = [
-            part
-            for index, part in enumerate(parts)
-            if index not in groups.values()
-        ]
-        family = template.replace("{1}", kept[0] if kept else "")
-        family = family.rstrip(".")
-        break
-    mangled = re.sub(r"[^a-zA-Z0-9_:]", "_", prefix + family)
-    if not _NAME_RE.match(mangled):
-        mangled = "_" + mangled
-    return mangled, labels
+    from repro.obs.catalog import family_of
+
+    family, labels = family_of(name)
+    return mangle_family(family, prefix), labels
 
 
 def escape_label_value(value: str) -> str:

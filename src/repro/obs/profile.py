@@ -28,7 +28,7 @@ from repro.obs.export import (
     to_jsonl,
     validate_chrome_trace,
 )
-from repro.obs.hooks import cache_hit_rates
+from repro.obs.reader import MetricsView, cache_hit_rates
 from repro.obs.session import observing
 from repro.obs.spans import SpanRecord, span
 from repro.obs.snapshot import (
@@ -90,27 +90,21 @@ def profile_experiment(key: str) -> ProfileReport:
         )
 
 
-def _metric_value(report: ProfileReport, name: str, default: float = 0.0):
-    data = report.metrics.get(name)
-    if data is None:
-        return default
-    return data.get("value", default)
-
-
 def format_summary(report: ProfileReport) -> str:
     """The human-readable profile: phases, ops, ports, cache."""
     lines = [f"== profile: {report.key} ({report.title}) =="]
     lines.append(f"wall-clock: {report.wall_s:.3f}s")
     lines.append("")
     lines.append(format_span_table(report.span_aggregate))
+    view = MetricsView(report.metrics)
 
     op_counts = {
-        name[len("isa.ops.") :]: data["value"]
-        for name, data in report.metrics.items()
-        if name.startswith("isa.ops.") and data.get("value")
+        name[len("isa.ops.") :]: view.value(name)
+        for name in view.names("isa.ops.")
+        if view.value(name)
     }
     if op_counts:
-        total = _metric_value(report, "isa.instructions")
+        total = view.value("isa.instructions")
         lines.append("")
         lines.append(
             f"-- dynamic instruction profile "
@@ -129,32 +123,32 @@ def format_summary(report: ProfileReport) -> str:
             )
         lines.append(
             f"memory traffic: "
-            f"{int(_metric_value(report, 'isa.load_bytes'))} B loaded, "
-            f"{int(_metric_value(report, 'isa.store_bytes'))} B stored "
-            f"({int(_metric_value(report, 'isa.loads'))} loads / "
-            f"{int(_metric_value(report, 'isa.stores'))} stores)"
+            f"{int(view.value('isa.load_bytes'))} B loaded, "
+            f"{int(view.value('isa.store_bytes'))} B stored "
+            f"({int(view.value('isa.loads'))} loads / "
+            f"{int(view.value('isa.stores'))} stores)"
         )
 
-    ports = {
-        name[len("sched.util.") :]: data
-        for name, data in report.metrics.items()
-        if name.startswith("sched.util.") and data.get("count")
-    }
+    ports = [
+        name[len("sched.util.") :]
+        for name in view.names("sched.util.")
+        if view.stat(name, "count")
+    ]
     if ports:
-        blocks = int(_metric_value(report, "sched.blocks"))
+        blocks = int(view.value("sched.blocks"))
         lines.append("")
         lines.append(f"-- port utilization ({blocks} scheduled blocks) --")
-        for port in sorted(ports):
-            data = ports[port]
+        for port in ports:
+            util = f"sched.util.{port}"
             lines.append(
-                f"{port.rjust(6)}  mean {data['mean'] * 100:5.1f}%  "
-                f"p99 {data['p99'] * 100:5.1f}% of bottleneck port"
+                f"{port.rjust(6)}  mean {view.stat(util, 'mean') * 100:5.1f}%  "
+                f"p99 {view.stat(util, 'p99') * 100:5.1f}% of bottleneck port"
             )
-        crit = report.metrics.get("sched.critical_path_cycles")
-        if crit and crit.get("count"):
+        crit = "sched.critical_path_cycles"
+        if view.stat(crit, "count"):
             lines.append(
-                f"critical path: mean {crit['mean']:.1f} cycles, "
-                f"p99 {crit['p99']:.1f} cycles per block"
+                f"critical path: mean {view.stat(crit, 'mean'):.1f} cycles, "
+                f"p99 {view.stat(crit, 'p99'):.1f} cycles per block"
             )
 
     if report.cache_rates:
@@ -164,7 +158,7 @@ def format_summary(report: ProfileReport) -> str:
             lines.append(f"{level.rjust(6)}  {rate * 100:5.1f}%")
         lines.append(
             f"modeled traffic: "
-            f"{int(_metric_value(report, 'cache.bytes_modeled'))} B"
+            f"{int(view.value('cache.bytes_modeled'))} B"
         )
 
     return "\n".join(lines)
@@ -187,7 +181,7 @@ def snapshot_values(report: ProfileReport) -> Dict[str, float]:
             metric, ours = row[0], float(row[1])
             if ours > 0:
                 values[f"headline.inv.{metric}"] = 1.0 / ours
-    instructions = _metric_value(report, "isa.instructions")
+    instructions = MetricsView(report.metrics).value("isa.instructions")
     if instructions:
         values[f"profile.{report.key}.sim_instructions"] = instructions
     return values

@@ -4,16 +4,15 @@ The serve layer's contract with its clients is a latency objective —
 "p99 under ``slo_p99_ms``" — and the paper's thesis (every cycle of
 overhead accounted for) extends naturally to it: a p99 number alone says
 *that* the objective was missed, the decomposed queue-wait /
-coalesce-wait / compute histograms (:func:`repro.obs.hooks.
-record_serve_latency_slices`) say *where* the time went, and this module
+coalesce-wait / compute histograms (``serve.coalesce_wait_s.<op>`` and
+siblings) say *where* the time went, and this module
 says *how fast the error budget is burning* so an operator knows whether
 to care.
 
 :class:`SloTracker` buckets completed requests into fixed windows of
 ``window_s`` seconds per op (and per tenant). Closing a window computes
 its p99 and violation fraction and publishes, through the live session's
-registry (hook pattern: no session, no publication, tracking still
-cheap):
+registry (no session, no publication, tracking still cheap):
 
 * ``serve.slo.p99_ms.<op>`` — the last closed window's p99 (gauge);
 * ``serve.slo.target_ms.<op>`` — the configured objective (gauge);
@@ -38,6 +37,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
+
+from repro.obs.hooks import count, set_gauge
+from repro.obs.session import current
 
 #: Per-window latency samples kept for the percentile (p99 needs the
 #: tail, not the mass; windows are short so this cap is rarely hit).
@@ -185,7 +187,7 @@ class SloTracker:
         if state is None or not state.closed:
             return 0.0
         recent = list(state.closed)[-self.burn_windows:]
-        total = sum(count for count, _, _ in recent)
+        total = sum(n for n, _, _ in recent)
         if not total:
             return 0.0
         violations = sum(v for _, v, _ in recent)
@@ -213,17 +215,14 @@ class SloTracker:
     # ------------------------------------------------------------------
 
     def _publish_window(self, op: str, state: _WindowState, p99_ms: float) -> None:
-        from repro.obs.session import current
-
         session = current()
         if session is None:
             return
-        m = session.metrics
-        m.gauge(f"serve.slo.p99_ms.{op}").set(p99_ms)
+        set_gauge("serve.slo.p99_ms.<op>", p99_ms, op)
         if self.slo_p99_ms is not None:
-            m.gauge(f"serve.slo.target_ms.{op}").set(self.slo_p99_ms)
-        m.gauge(f"serve.slo.burn_rate.{op}").set(self.burn_rate(op))
-        m.gauge(f"serve.slo.breach_windows.{op}").set(state.streak)
+            set_gauge("serve.slo.target_ms.<op>", self.slo_p99_ms, op)
+        set_gauge("serve.slo.burn_rate.<op>", self.burn_rate(op), op)
+        set_gauge("serve.slo.breach_windows.<op>", state.streak, op)
         if state.streak and state.streak >= self.burn_windows:
             flight = session.flight
             if flight is not None:
@@ -236,12 +235,6 @@ class SloTracker:
                 )
 
     def _publish_violation(self, op: str, tenant: str) -> None:
-        from repro.obs.session import current
-
-        session = current()
-        if session is None:
-            return
-        m = session.metrics
-        m.counter("serve.slo.violations").inc()
-        m.counter(f"serve.slo.violations.{op}").inc()
-        m.counter(f"serve.slo.violations.tenant.{tenant}").inc()
+        count("serve.slo.violations")
+        count("serve.slo.violations.<op>", op)
+        count("serve.slo.violations.tenant.<tenant>", tenant)

@@ -9,7 +9,7 @@ then renders what a single-process profile cannot show:
   lane plus one lane per worker process, every worker span carrying the
   batch/shard/attempt correlation ids of the shard that produced it;
 * a **per-worker utilization table** (shards served, busy seconds and
-  busy fraction of the run, p50/p95 shard wall, retries attributed to
+  busy fraction of the run, p50/p99 shard wall, retries attributed to
   the slot) — the straggler/imbalance summary;
 * optional **retry attribution**: with ``--crash N``, the first ``N``
   dispatched shards kill their worker, and the report lists which lane
@@ -38,6 +38,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     worker_lanes,
 )
+from repro.obs.reader import MetricsView
 from repro.obs.session import ObsSession, observing
 
 #: Attempts the overhead gate gets before failing (one clean attempt
@@ -48,30 +49,28 @@ GATE_ATTEMPTS = 3
 
 def format_worker_table(session: ObsSession, wall_s: float) -> str:
     """Render the per-worker utilization summary from ``par.slot.*``."""
-    metrics = session.metrics
+    view = MetricsView(session.metrics)
     header = [
         "slot", "pid", "shards", "busy s", "busy %",
-        "p50 ms", "p95 ms", "retries",
+        "p50 ms", "p99 ms", "retries",
     ]
     rows = [header]
-    for slot in dist.slot_numbers(metrics):
-        def value(suffix: str, default: float = 0.0) -> float:
-            metric = metrics.get(f"par.slot.{slot}.{suffix}")
-            return metric.value if metric is not None else default
-
-        walls = metrics.get(f"par.slot.{slot}.shard_wall_s")
-        busy = value("busy_s")
-        pid = value("pid")
+    for slot in dist.slot_numbers(view):
+        slot_name = f"par.slot.{slot}"
+        walls = f"{slot_name}.shard_wall_s"
+        busy = view.value(f"{slot_name}.busy_s")
+        pid = view.value(f"{slot_name}.pid")
+        has_walls = view.stat(walls, "count") > 0
         rows.append(
             [
                 str(slot),
                 str(int(pid)) if pid else "-",
-                f"{int(value('shards'))}",
+                f"{int(view.value(f'{slot_name}.shards'))}",
                 f"{busy:.3f}",
                 f"{busy / wall_s * 100:.1f}" if wall_s > 0 else "-",
-                f"{walls.percentile(50) * 1e3:.2f}" if walls and walls.count else "-",
-                f"{walls.percentile(95) * 1e3:.2f}" if walls and walls.count else "-",
-                f"{int(value('retries'))}",
+                f"{view.stat(walls, 'p50') * 1e3:.2f}" if has_walls else "-",
+                f"{view.stat(walls, 'p99') * 1e3:.2f}" if has_walls else "-",
+                f"{int(view.value(f'{slot_name}.retries'))}",
             ]
         )
     widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
@@ -200,10 +199,10 @@ def run_timeline(
                 for line in retried:
                     emit(f"  {line}")
 
-            blobs = session.metrics.get("par.telemetry.blobs")
+            blobs = MetricsView(session.metrics).value("par.telemetry.blobs")
             emit("")
             emit(
-                f"merged {int(blobs.value) if blobs else 0} worker blobs, "
+                f"merged {int(blobs)} worker blobs, "
                 f"{len(session.spans.records)} spans, "
                 f"{len(session.events)} events in {wall_s * 1e3:.1f} ms"
             )

@@ -11,22 +11,23 @@ dashboard that renders one screen of panels:
   completed / failed / shed / degraded totals, shed rate, backlog depth;
 * **ops** — per-op p50/p99 against the declared SLO target, error-budget
   burn rate and breach-window streak;
-* **coalesce** — batches, realized fill (``serve.coalesce.batch_size``
-  mean), batch-wait p99;
+* **coalesce** — batches, realized fill (``serve.batch.size`` mean),
+  batch-wait p99;
 * **breaker** — current state (from the ``resil.breaker.state_code``
   gauge) plus transition counts;
 * **slots** — per-slot busy seconds and, in live mode, utilization over
   the refresh interval;
 * **arena** — shm arena lease/reuse hit rate.
 
-Two data sources feed the same panel builder, normalized through
-:func:`repro.obs.openmetrics.mangle_name` so they agree on keys:
+Two data sources feed the same panel builder, both as metrics by dotted
+catalogue name (:mod:`repro.obs.catalog`), read through
+:class:`repro.obs.reader.MetricsView`:
 
 * the **live session** (``--once`` with no URL self-drives a short serve
   burst under ``observing()`` and renders its registry — the CI smoke);
 * an **OpenMetrics endpoint** (``--url http://…/metrics``), scraped and
-  parsed back into samples; histogram percentiles are estimated from the
-  cumulative ``le`` buckets.
+  parsed back to dotted names; histogram percentiles are estimated from
+  the cumulative ``le`` buckets.
 
 ``--once`` renders a single frame and exits non-zero if a required panel
 came up empty (so the smoke actually asserts the dashboard works); live
@@ -39,11 +40,11 @@ import math
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.openmetrics import mangle_name
+from repro.obs.dist import slot_numbers
+from repro.obs.reader import MetricsView, serve_summary
 
-#: Canonical sample map: mangled family -> sorted-label-items -> sample
-#: dict (``{"type", "value"|"count"/"sum"/"p50"/"p99", ...}``).
-Canon = Dict[str, Dict[Tuple[Tuple[str, str], ...], Dict[str, object]]]
+#: Metrics by dotted name -> snapshot-shaped sample dict.
+Samples = Dict[str, Dict[str, object]]
 
 #: Gauge code -> breaker state name (inverse of hooks.BREAKER_STATE_CODES).
 _BREAKER_STATES = {0.0: "closed", 1.0: "half_open", 2.0: "open"}
@@ -53,24 +54,8 @@ _CLEAR = "\x1b[2J\x1b[H"
 
 
 # ---------------------------------------------------------------------------
-# Sources -> canonical sample map
+# Sources -> sample map
 # ---------------------------------------------------------------------------
-
-
-def canonicalize_snapshot(snapshot: Dict[str, Dict[str, object]]) -> Canon:
-    """Normalize a ``MetricsRegistry.snapshot()`` to the canonical map.
-
-    Dotted names go through the same label-lifting rules the exporter
-    uses, so a live registry and a scrape of its exposition produce the
-    same families and label sets.
-    """
-    canon: Canon = {}
-    for name, sample in snapshot.items():
-        family, labels = mangle_name(name)
-        canon.setdefault(family, {})[tuple(sorted(labels.items()))] = dict(
-            sample
-        )
-    return canon
 
 
 def _bucket_percentile(
@@ -105,20 +90,21 @@ def _bucket_percentile(
     return prev_bound
 
 
-def parse_openmetrics_text(text: str) -> Canon:
-    """Parse exposition text (our emitted subset) into the canonical map.
+def parse_openmetrics_text(text: str) -> Samples:
+    """Parse exposition text (our emitted subset) back to dotted names.
 
-    Counters lose their ``_total`` suffix, histogram series are
-    reassembled from their ``_bucket``/``_count``/``_sum`` samples with
-    ``p50``/``p99`` estimated from the buckets.
+    Each sample's family and labels map back to its catalogue name
+    (:func:`repro.obs.catalog.name_of`; undeclared families are
+    skipped). Counters lose their ``_total`` suffix, histogram series
+    are reassembled from their ``_bucket``/``_count``/``_sum`` samples
+    with ``p50``/``p99`` estimated from the buckets.
     """
-    from repro.obs.openmetrics import _SAMPLE_RE, _split_labels
+    from repro.obs.catalog import name_of
+    from repro.obs.openmetrics import _SAMPLE_RE, _resolve_family, _split_labels
 
     types: Dict[str, str] = {}
-    canon: Canon = {}
-    buckets: Dict[
-        Tuple[str, Tuple[Tuple[str, str], ...]], List[Tuple[float, float]]
-    ] = {}
+    samples: Samples = {}
+    buckets: Dict[str, List[Tuple[float, float]]] = {}
     for line in text.splitlines():
         if line.startswith("# TYPE "):
             parts = line.split(" ")
@@ -133,191 +119,123 @@ def parse_openmetrics_text(text: str) -> Canon:
         sample = match.group("name")
         labels = _split_labels(match.group("labels") or "")
         value = float(match.group("value"))
-        family, suffix = _strip_suffix(sample, types)
+        family = _resolve_family(sample, labels, types)
         if family is None:
             continue
+        le = labels.pop("le", None)
+        name = name_of(family, labels)
+        if name is None:
+            continue
         kind = types[family]
-        if kind == "histogram":
-            key = tuple(
-                sorted((k, v) for k, v in labels.items() if k != "le")
-            )
-            entry = canon.setdefault(family, {}).setdefault(
-                key, {"type": "histogram", "count": 0, "sum": 0.0}
-            )
-            if suffix == "_bucket":
-                le = (
-                    math.inf
-                    if labels.get("le") == "+Inf"
-                    else float(labels.get("le", "inf"))
-                )
-                buckets.setdefault((family, key), []).append((le, value))
-            elif suffix == "_count":
-                entry["count"] = int(value)
-            elif suffix == "_sum":
-                entry["sum"] = value
-        else:
-            key = tuple(sorted(labels.items()))
-            canon.setdefault(family, {})[key] = {
-                "type": kind,
-                "value": value,
-            }
-    for (family, key), series in buckets.items():
+        if kind != "histogram":
+            samples[name] = {"type": kind, "value": value}
+            continue
+        entry = samples.setdefault(
+            name, {"type": "histogram", "count": 0, "sum": 0.0}
+        )
+        suffix = sample[len(family):]
+        if suffix == "_bucket":
+            bound = math.inf if le == "+Inf" else float(le or "inf")
+            buckets.setdefault(name, []).append((bound, value))
+        elif suffix == "_count":
+            entry["count"] = int(value)
+        elif suffix == "_sum":
+            entry["sum"] = value
+    for name, series in buckets.items():
         series.sort(key=lambda pair: pair[0])
-        entry = canon[family][key]
+        entry = samples[name]
         entry["p50"] = _bucket_percentile(series, 50.0)
         entry["p99"] = _bucket_percentile(series, 99.0)
         if entry["count"]:
             entry["mean"] = float(entry.get("sum", 0.0)) / entry["count"]
-    return canon
-
-
-def _strip_suffix(
-    sample: str, types: Dict[str, str]
-) -> Tuple[Optional[str], str]:
-    if sample in types:
-        return sample, ""
-    for suffix in ("_total", "_bucket", "_count", "_sum"):
-        if sample.endswith(suffix) and sample[: -len(suffix)] in types:
-            return sample[: -len(suffix)], suffix
-    return None, ""
+    return samples
 
 
 # ---------------------------------------------------------------------------
-# Canonical map -> panels
+# Samples -> panels
 # ---------------------------------------------------------------------------
-
-
-def _family(name: str) -> str:
-    return mangle_name(name)[0]
-
-
-def _value(canon: Canon, name: str, default: float = 0.0) -> float:
-    """Counter/gauge value for a dotted name (labels via mangle rules)."""
-    family, labels = mangle_name(name)
-    sample = canon.get(family, {}).get(tuple(sorted(labels.items())))
-    if sample is None:
-        return default
-    value = sample.get("value")
-    return float(value) if value is not None else default
-
-
-def _hist(canon: Canon, name: str) -> Optional[Dict[str, object]]:
-    family, labels = mangle_name(name)
-    sample = canon.get(family, {}).get(tuple(sorted(labels.items())))
-    if sample is None or sample.get("type") != "histogram":
-        return None
-    return sample
-
-
-def _label_values(canon: Canon, family: str, label: str) -> List[str]:
-    out = set()
-    for key in canon.get(family, {}):
-        for k, v in key:
-            if k == label:
-                out.add(v)
-    return sorted(out)
 
 
 def build_panels(
-    canon: Canon,
-    prev: Optional[Canon] = None,
+    samples: Samples,
+    prev: Optional[Samples] = None,
     interval_s: Optional[float] = None,
 ) -> Dict[str, object]:
-    """Derive the dashboard panels from one canonical sample map.
+    """Derive the dashboard panels from one sample map.
 
     ``prev``/``interval_s`` (live mode) turn monotone counters into
     rates: rps from completed-request deltas, per-slot utilization from
     busy-second deltas. In ``--once`` mode both stay ``None`` and the
     rate fields render as totals.
     """
-    admitted = _value(canon, "serve.requests.admitted")
-    completed = _value(canon, "serve.requests.completed")
-    shed = _value(canon, "serve.shed")
-    degraded = _value(canon, "serve.degraded")
-    batches = _value(canon, "serve.batches")
-    rps = None
-    if prev is not None and interval_s and interval_s > 0:
-        rps = max(
-            0.0, completed - _value(prev, "serve.requests.completed")
-        ) / interval_s
-    offered = admitted + shed
+    view = MetricsView(samples)
+    before = MetricsView(prev) if prev is not None else None
+    live = before is not None and bool(interval_s) and interval_s > 0
+
+    def rate(name: str) -> Optional[float]:
+        if not live:
+            return None
+        return max(0.0, view.value(name) - before.value(name)) / interval_s
+
+    serve = serve_summary(view)
+    offered = serve["admitted"] + serve["shed"]
     requests = {
-        "admitted": admitted,
-        "completed": completed,
-        "failed": _value(canon, "serve.requests.failed"),
-        "shed": shed,
-        "degraded": degraded,
-        "shed_rate": shed / offered if offered else 0.0,
-        "degrade_rate": degraded / batches if batches else 0.0,
-        "backlog": _value(canon, "serve.queue.depth"),
-        "rps": rps,
+        key: serve[key]
+        for key in ("admitted", "completed", "failed", "shed", "degraded")
     }
+    requests.update(
+        shed_rate=serve["shed"] / offered if offered else 0.0,
+        degrade_rate=(
+            serve["degraded"] / serve["batches"] if serve["batches"] else 0.0
+        ),
+        backlog=serve["backlog_depth"],
+        rps=rate("serve.requests.completed"),
+    )
 
-    ops: Dict[str, Dict[str, object]] = {}
-    for op in _label_values(canon, _family("serve.latency_s.x"), "op"):
-        hist = _hist(canon, f"serve.latency_s.{op}")
-        if hist is None or not hist.get("count"):
-            continue
-        slo_ms = _value(canon, f"serve.slo.target_ms.{op}", default=0.0)
-        ops[op] = {
-            "count": int(hist.get("count", 0)),
-            "p50_ms": float(hist.get("p50", 0.0) or 0.0) * 1e3,
-            "p99_ms": float(hist.get("p99", 0.0) or 0.0) * 1e3,
-            "slo_ms": slo_ms or None,
-            "burn_rate": _value(canon, f"serve.slo.burn_rate.{op}"),
-            "breach_windows": int(
-                _value(canon, f"serve.slo.breach_windows.{op}")
-            ),
-            "violations": int(_value(canon, f"serve.slo.violations.{op}")),
+    ops = {
+        op: {
+            "count": row["count"],
+            "p50_ms": row["latency_p50_s"] * 1e3,
+            "p99_ms": row["latency_p99_s"] * 1e3,
+            "slo_ms": row["slo_target_ms"] or None,
+            "burn_rate": row["burn_rate"],
+            "breach_windows": row["breach_windows"],
+            "violations": row["violations"],
         }
-
-    coalesce_hist = _hist(canon, "serve.coalesce.batch_size")
-    wait_hist = _hist(canon, "serve.batch.wait_s")
-    coalesce = {
-        "batches": batches,
-        "fill_mean": (
-            float(coalesce_hist.get("mean", 0.0) or 0.0)
-            if coalesce_hist
-            else 0.0
-        ),
-        "batch_wait_p99_ms": (
-            float(wait_hist.get("p99", 0.0) or 0.0) * 1e3
-            if wait_hist
-            else 0.0
-        ),
+        for op, row in serve["ops"].items()
     }
 
-    code = _value(canon, "resil.breaker.state_code", default=-1.0)
+    coalesce = {
+        "batches": serve["batches"],
+        "fill_mean": serve["coalesce_fill"],
+        "batch_wait_p99_ms": serve["batch_wait_p99_s"] * 1e3,
+    }
+
+    code = view.value("resil.breaker.state_code", default=-1.0)
+    transitions = {
+        state: int(view.value(f"resil.breaker.{state}"))
+        for state in ("open", "half_open", "closed")
+    }
     breaker = {
         "state": _BREAKER_STATES.get(code),
-        "transitions": {
-            state: int(_value(canon, f"resil.breaker.{state}"))
-            for state in ("open", "half_open", "closed")
-            if _value(canon, f"resil.breaker.{state}")
-        },
+        "transitions": {k: v for k, v in transitions.items() if v},
     }
 
-    slots: Dict[str, Dict[str, object]] = {}
-    slot_family = _family("par.slot.0.busy_s")
-    for slot in _label_values(canon, slot_family, "slot"):
-        busy = _value(canon, f"par.slot.{slot}.busy_s")
-        util = None
-        if prev is not None and interval_s and interval_s > 0:
-            util = max(
-                0.0, busy - _value(prev, f"par.slot.{slot}.busy_s")
-            ) / interval_s
-        slots[slot] = {
-            "busy_s": busy,
-            "util": util,
-            "shards": int(_value(canon, f"par.slot.{slot}.shards")),
+    slots = {
+        str(slot): {
+            "busy_s": view.value(f"par.slot.{slot}.busy_s"),
+            "util": rate(f"par.slot.{slot}.busy_s"),
+            "shards": int(view.value(f"par.slot.{slot}.shards")),
         }
+        for slot in slot_numbers(view)
+    }
 
-    leases = _value(canon, "par.arena.leases")
-    reuses = _value(canon, "par.arena.reuses")
+    leases = view.value("par.arena.leases")
+    reuses = view.value("par.arena.reuses")
     arena = {
         "leases": leases,
         "reuses": reuses,
-        "creates": _value(canon, "par.arena.creates"),
+        "creates": view.value("par.arena.creates"),
         "hit_rate": reuses / leases if leases else 0.0,
     }
 
@@ -435,7 +353,7 @@ def render_panels(panels: Dict[str, object], source: str = "live") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scrape(url: str, timeout_s: float = 5.0) -> Canon:
+def _scrape(url: str, timeout_s: float = 5.0) -> Samples:
     from urllib.request import urlopen
 
     with urlopen(url, timeout=timeout_s) as response:
@@ -446,7 +364,7 @@ def _scrape(url: str, timeout_s: float = 5.0) -> Canon:
 
 def _self_drive(
     engine: str, logn: int, requests: int, slo_p99_ms: float
-) -> Canon:
+) -> Samples:
     """Run a short serve burst under observation; return its samples.
 
     The ``--once`` CI smoke path: no endpoint needed, the dashboard
@@ -489,7 +407,7 @@ def _self_drive(
 
     with observing() as session:
         asyncio.run(drive())
-        return canonicalize_snapshot(session.metrics.snapshot())
+        return session.metrics.snapshot()
 
 
 def run_top(
@@ -513,15 +431,15 @@ def run_top(
     if once:
         if url is not None:
             try:
-                canon = _scrape(url)
+                samples = _scrape(url)
             except OSError as exc:
                 emit(f"top: scrape of {url} failed: {exc}")
                 return 2
             source = url
         else:
-            canon = _self_drive(engine, logn, requests, slo_p99_ms)
+            samples = _self_drive(engine, logn, requests, slo_p99_ms)
             source = f"self-driven {engine} burst"
-        panels = build_panels(canon)
+        panels = build_panels(samples)
         emit(render_panels(panels, source=source))
         missing = _missing_panels(panels, engine if url is None else None)
         if missing:
@@ -532,20 +450,20 @@ def run_top(
     if url is None:
         emit("top: live mode needs --url (or use --once for one frame)")
         return 2
-    prev: Optional[Canon] = None
+    prev: Optional[Samples] = None
     frame = 0
     try:
         while iterations is None or frame < iterations:
             try:
-                canon = _scrape(url)
+                samples = _scrape(url)
             except OSError as exc:
                 emit(f"top: scrape of {url} failed: {exc}")
                 return 2
             panels = build_panels(
-                canon, prev=prev, interval_s=interval_s if prev else None
+                samples, prev=prev, interval_s=interval_s if prev else None
             )
             emit(_CLEAR + render_panels(panels, source=url))
-            prev = canon
+            prev = samples
             frame += 1
             if iterations is None or frame < iterations:
                 time.sleep(interval_s)

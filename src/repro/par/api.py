@@ -37,7 +37,7 @@ from repro.fast.limbs import LIMB_DTYPE, limbs_from_ints, limbs_to_ints
 from repro.fast.modular import FastModulus
 from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.ntt.twiddles import TwiddleTable
-from repro.obs.hooks import record_engine_call, record_fused_chain
+from repro.obs.hooks import count
 from repro.obs.spans import span
 from repro.par.executor import ParallelExecutor, default_executor
 from repro.util.checks import check_reduced
@@ -161,7 +161,8 @@ def _run_sharded(
                     spec["sums"] = sums_name
                     spec["sums_len"] = len(bounds)
                 specs.append(spec)
-            record_fused_chain(len(metas[0]["steps"]), len(specs))
+            count("par.fused.chains", amount=len(specs))
+            count("par.fused.steps", amount=len(metas[0]["steps"]) * len(specs))
             executor.run(specs)
             executor.audit(specs)
             result = np.array(out_view, copy=True)
@@ -191,7 +192,8 @@ def _run_rows(
     coerced = {name: ntt._coerce(values) for name, values in operands.items()}
     first, as_ints = next(iter(coerced.values()))
     flat = first.ndim == 2
-    record_engine_call("parallel", label, first.size // 2)
+    count("engine.<engine>.calls.<op>", "parallel", label)
+    count("engine.<engine>.elements.<op>", "parallel", label, amount=first.size // 2)
     inputs = {
         name: arr[np.newaxis] if arr.ndim == 2 else arr
         for name, (arr, _) in coerced.items()
@@ -478,7 +480,9 @@ class ParBlasPlan:
 
     def _sharded(self, blas_op: str, x, y, a: Optional[int] = None):
         xa, ya, as_ints = self.fast._coerce_pair(x, y)
-        record_engine_call("parallel", f"blas.{blas_op}", xa.size // 2)
+        label = f"blas.{blas_op}"
+        count("engine.<engine>.calls.<op>", "parallel", label)
+        count("engine.<engine>.elements.<op>", "parallel", label, amount=xa.size // 2)
         step = {"kind": "blas", "blas_op": blas_op, "x": "x", "y": "y",
                 "dst": fast_chain.OUT_REGISTER}
         if a is not None:
@@ -535,6 +539,7 @@ def parallel_rns_mul(
         mod.check_reduced(fa[i])
         mod.check_reduced(ga[i])
         metas.append(_chain_meta(steps, q, n, ntt.table.root, psi))
-    record_engine_call("parallel", "rns.mul", k * n)
+    count("engine.<engine>.calls.<op>", "parallel", "rns.mul")
+    count("engine.<engine>.elements.<op>", "parallel", "rns.mul", amount=k * n)
     out = _run_sharded(executor, metas, "rows", {"x": fa, "y": ga}, (k, n, 2))
     return [limbs_to_ints(out[i]) for i in range(k)]

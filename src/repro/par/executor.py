@@ -72,27 +72,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ParallelExecutionError
 from repro.obs import dist
 from repro.obs.hooks import (
-    record_adaptive_shards,
+    count,
+    observe,
     record_breaker_transition,
-    record_deadline_expired,
-    record_integrity_corrupt,
-    record_par_dispatch,
-    record_par_fallback,
-    record_par_interrupted,
-    record_par_limbo_requeue,
-    record_par_pin_unsupported,
-    record_par_retry,
-    record_par_shard_done,
-    record_par_stale_result,
-    record_par_worker_hung,
-    record_par_worker_pinned,
     record_par_worker_restart,
-    record_resil_degraded,
-    record_retry_backoff,
     record_shard_event,
-    record_shm_reclaimed,
-    record_slot_retry,
-    record_telemetry_stale,
     record_worker_blob,
 )
 from repro.obs.session import current as obs_current
@@ -348,7 +332,7 @@ class ParallelExecutor:
         if self.pin_workers is not True:
             return
         self.stats["pin_unsupported"] += 1
-        record_par_pin_unsupported()
+        count("par.workers.pin_unsupported")
         global _PIN_WARNED
         if not _PIN_WARNED:
             _PIN_WARNED = True
@@ -373,8 +357,15 @@ class ParallelExecutor:
         proc.start()
         if pin_cpu is not None:
             self.stats["pinned"] += 1
-            record_par_worker_pinned()
+            count("par.workers.pinned")
         return proc
+
+    def _respawn(self, slot: int) -> None:
+        """Replace the dead worker in ``slot`` with a fresh process."""
+        self._current[slot] = _IDLE
+        self._procs[slot] = self._spawn(slot)
+        self.stats["restarts"] += 1
+        record_par_worker_restart()
 
     def close(self) -> None:
         """Stop the workers and release the queues (idempotent).
@@ -425,7 +416,7 @@ class ParallelExecutor:
         self._active_segments.clear()
         if reclaimed:
             self.stats["shm_reclaimed"] += reclaimed
-            record_shm_reclaimed(reclaimed)
+            count("par.shm.reclaimed", amount=reclaimed)
 
     def _abort_batch(self) -> None:
         """Quiesce the pool after an interrupt landed mid-batch.
@@ -539,7 +530,9 @@ class ParallelExecutor:
         shards = max(1, min(ceiling, ideal))
         if shards < ceiling:
             self.stats["adaptive_clamped"] += 1
-            record_adaptive_shards(shards, ceiling)
+            count("par.adaptive.clamped")
+            observe("par.adaptive.shards", shards)
+            count("par.adaptive.saved_dispatches", amount=ceiling - shards)
         return shards
 
     def _note_compute(self, spec: dict, wall_s: float, blob) -> None:
@@ -600,7 +593,7 @@ class ParallelExecutor:
                 spec["fault"] = fault.to_spec()
         self._track_segments(specs)
         self.stats["dispatched"] += len(specs)
-        record_par_dispatch(len(specs))
+        count("par.shards.dispatched", amount=len(specs))
         if deadline is None and self.batch_deadline_s is not None:
             deadline = Deadline(self.batch_deadline_s)
         # A batch correlation id exists only while a session is active:
@@ -619,6 +612,9 @@ class ParallelExecutor:
                 self.breaker.record_failure()
                 self._run_degraded(specs, "pool_start_failed")
                 return
+            for slot, proc in enumerate(self._procs):
+                if not proc.is_alive():
+                    self._respawn(slot)  # died between batches
             try:
                 self._event_loop(specs, deadline, batch_id)
             except KeyboardInterrupt:
@@ -626,7 +622,7 @@ class ParallelExecutor:
                 # tasks cannot scribble into arena segments the caller is
                 # about to recycle, and close() finds nothing leaked.
                 self.stats["interrupted"] += 1
-                record_par_interrupted()
+                count("par.interrupted")
                 self._abort_batch()
                 raise
 
@@ -645,7 +641,8 @@ class ParallelExecutor:
 
     def _run_degraded(self, specs: List[dict], reason: str) -> None:
         """Run a whole batch in-process on the fast engine (no pool)."""
-        record_resil_degraded("parallel", "fast", reason)
+        count("resil.degraded")
+        count("resil.degraded.<reason>", reason)
         self.stats["degraded"] += len(specs)
         for spec in specs:
             execute_spec(spec, in_worker=False)
@@ -715,7 +712,7 @@ class ParallelExecutor:
             spec = pending.pop(task_id)
             clear_claims(task_id)
             self.stats["fallbacks"] += 1
-            record_par_fallback()
+            count("par.fallbacks")
             _shard_event("shard.fallback", spec, task=task_id)
             ctx = spec.get(dist.CTX_KEY)
             if ctx is not None:
@@ -746,9 +743,9 @@ class ParallelExecutor:
             gen[task_id] += 1
             if self.retry_policy.should_retry(attempts[task_id]):
                 self.stats["retries"] += 1
-                record_par_retry()
+                count("par.retries")
                 if slot is not None:
-                    record_slot_retry(slot)
+                    count("par.slot.<slot>.retries", slot)
                 spec = strip_transient_fault(pending[task_id])
                 # Re-stamp the context header (attempt, generation) so
                 # the retried execution's worker spans carry the ids of
@@ -770,7 +767,7 @@ class ParallelExecutor:
                     )
                 delay = self.retry_policy.delay_s(attempts[task_id])
                 if delay > 0.0:
-                    record_retry_backoff(delay)
+                    observe("resil.retry.backoff_s", delay)
                     heapq.heappush(
                         delayed, (time.monotonic() + delay, task_id)
                     )
@@ -796,7 +793,8 @@ class ParallelExecutor:
                 if deadline is not None and deadline.expired():
                     remaining = list(pending)
                     self.stats["deadline_expired"] += len(remaining)
-                    record_deadline_expired(len(remaining))
+                    count("resil.deadline.expired")
+                    count("resil.deadline.shards", amount=len(remaining))
                     for task_id in remaining:
                         fallback(task_id)
                     break
@@ -831,7 +829,7 @@ class ParallelExecutor:
                         if superseded or recovered:
                             # Telemetry of a stale execution: discarded
                             # exactly as its result is, but metered.
-                            record_telemetry_stale()
+                            count("par.telemetry.stale")
                         else:
                             record_worker_blob(blob, from_slot)
                     if superseded or recovered:
@@ -840,15 +838,20 @@ class ParallelExecutor:
                         )
                         self.stats["stale"] += 1
                         self.stats[f"stale_{flavor}"] += 1
-                        record_par_stale_result(flavor)
-                        continue
-                    if kind == "done":
+                        count("par.stale_results")
+                        count(
+                            "par.stale_results.superseded"
+                            if superseded
+                            else "par.stale_results.recovered"
+                        )
+                    elif kind == "done":
                         if task_id in pending:
                             if self._verify(pending[task_id]):
                                 spec = pending.pop(task_id)
                                 clear_claims(task_id)
                                 self.stats["completed"] += 1
-                                record_par_shard_done(message[4])
+                                count("par.shards.completed")
+                                observe("par.shard.wall_s", message[4])
                                 self._note_compute(spec, message[4], blob)
                                 _shard_event(
                                     "shard.done",
@@ -862,7 +865,7 @@ class ParallelExecutor:
                                 # Payload corrupt in shared memory: a
                                 # retryable fault, not a completion.
                                 self.stats["corrupt"] += 1
-                                record_integrity_corrupt()
+                                count("par.integrity.corrupt")
                                 _shard_event(
                                     "shard.corrupt",
                                     pending[task_id],
@@ -880,9 +883,11 @@ class ParallelExecutor:
                                 error=message[4],
                             )
                         fail(task_id, slot=from_slot)
-                    continue
 
-                # No message: police the pool.
+                # Police the pool on every pass, not only on a quiet
+                # poll: under steady traffic the survivors keep the
+                # result queue busy, and a worker killed while idle
+                # would never be replaced.
                 for slot, proc in enumerate(self._procs):
                     in_flight = self._current[slot]
                     if proc.is_alive():
@@ -900,14 +905,11 @@ class ParallelExecutor:
                                 # from crashes.
                                 del claimed_at[key]
                                 self.stats["hung"] += 1
-                                record_par_worker_hung()
+                                count("par.workers.hung")
                                 proc.terminate()
                         continue
                     # Dead worker: replace it, recover its shard.
-                    self._current[slot] = _IDLE
-                    self._procs[slot] = self._spawn(slot)
-                    self.stats["restarts"] += 1
-                    record_par_worker_restart()
+                    self._respawn(slot)
                     last_progress = now
                     if in_flight != _IDLE:
                         fail(in_flight, slot=slot)
@@ -931,7 +933,7 @@ class ParallelExecutor:
                             and task_id not in waiting
                         ):
                             self.stats["limbo_requeues"] += 1
-                            record_par_limbo_requeue()
+                            count("par.limbo.requeued")
                             fail(task_id, charge_breaker=False)
                     last_progress = now
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.errors import ParallelExecutionError
 from repro.fast.limbs import LIMB_DTYPE
-from repro.obs.hooks import record_arena_drained, record_arena_high_water, record_arena_lease
+from repro.obs.hooks import count, set_gauge
 
 #: Name prefix of every segment this layer creates (cleanup tests and
 #: operators grep ``/dev/shm`` for it).
@@ -230,7 +230,7 @@ class ArenaPool:
         if free:
             seg = free.pop()
             self.stats["reuses"] += 1
-            reused = True
+            count("par.arena.reuses")
         else:
             seg = shared_memory.SharedMemory(
                 create=True, size=size, name=_fresh_name()
@@ -238,14 +238,19 @@ class ArenaPool:
             _CREATED[seg.name] = seg
             _ARENA_OWNED.add(seg.name)
             self.stats["creates"] += 1
+            count("par.arena.creates")
             self._held_bytes += size
-            reused = False
         self._leased[seg.name] = size
-        record_arena_lease(reused, size)
+        count("par.arena.leases")
+        count("par.arena.leased_bytes", amount=size)
         if self._held_bytes > self.stats["high_water_bytes"]:
             self.stats["high_water_bytes"] = self._held_bytes
             self.stats["high_water_segments"] = self._segment_count()
-            record_arena_high_water(self._held_bytes, self._segment_count())
+            set_gauge("par.arena.high_water_bytes", self._held_bytes)
+            set_gauge(
+                "par.arena.high_water_segments",
+                self.stats["high_water_segments"],
+            )
         view = np.ndarray(tuple(shape), dtype=LIMB_DTYPE, buffer=seg.buf)
         return seg, view
 
@@ -265,20 +270,20 @@ class ArenaPool:
 
     def drain(self) -> int:
         """Destroy every held segment (leased and free); returns count."""
-        count = 0
+        drained = 0
         for free in self._free.values():
             for seg in free:
                 release_segment(seg)
-                count += 1
+                drained += 1
         self._free.clear()
         for name in list(self._leased):
             if release_by_name(name):
-                count += 1
+                drained += 1
         self._leased.clear()
         self._held_bytes = 0
-        if count:
-            record_arena_drained(count)
-        return count
+        if drained:
+            count("par.arena.drained", amount=drained)
+        return drained
 
 
 atexit.register(cleanup_all)

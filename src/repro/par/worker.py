@@ -51,6 +51,7 @@ from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.ntt.twiddles import TwiddleTable
 from repro.obs import dist
 from repro.obs import session as obs_session
+from repro.obs.hooks import count
 from repro.obs.spans import span
 from repro.par import shm
 from repro.resil import integrity as resil_integrity
@@ -85,16 +86,13 @@ def _attach_cached(name: str):
     the per-batch release path too.
     """
     seg = _SEG_CACHE.get(name)
-    session = obs_session.current()
     if seg is not None:
         _SEG_CACHE.move_to_end(name)
-        if session is not None:
-            session.metrics.counter("seg_cache.hits").inc()
+        count("seg_cache.hits")
         return seg
     seg = shm.attach_segment(name)
     _SEG_CACHE[name] = seg
-    if session is not None:
-        session.metrics.counter("seg_cache.misses").inc()
+    count("seg_cache.misses")
     while len(_SEG_CACHE) > SEG_CACHE_CAPACITY:
         _, evicted = _SEG_CACHE.popitem(last=False)
         shm.detach_segment(evicted)

@@ -84,6 +84,7 @@ def run_chaos(
     from repro.ntt.reference import negacyclic_schoolbook_polymul
     from repro.ntt.simd import SimdNtt
     from repro.obs import observing
+    from repro.obs.reader import MetricsView
     from repro.par import shm
     from repro.par.api import ParBlasPlan, ParNegacyclic, ParNtt
     from repro.par.executor import ParallelExecutor
@@ -148,6 +149,7 @@ def run_chaos(
         )
 
     with observing() as session:
+        metrics = MetricsView(session.metrics)
         if flight is not None:
             flight.attach(session)
         # adaptive=False: scenarios seed fault plans against a known
@@ -298,9 +300,8 @@ def run_chaos(
                         "fused multiply_add diverged from the schoolbook",
                     )
                 pool.inject(None)
-                chains = session.metrics.get("par.fused.chains")
                 expect(
-                    chains is not None and chains.value >= shards_per_call,
+                    metrics.value("par.fused.chains") >= shards_per_call,
                     "fused chain shards were not metered",
                 )
 
@@ -345,9 +346,8 @@ def run_chaos(
                     "par.stale_results.recovered",
                     "par.stale_results.superseded",
                 ):
-                    metric = session.metrics.get(name)
                     expect(
-                        metric is not None and metric.value >= 1,
+                        metrics.value(name) >= 1,
                         f"{name} was not recorded",
                     )
 
@@ -376,9 +376,8 @@ def run_chaos(
                 expect(
                     len(lanes) >= 1, "no worker lanes in the merged spans"
                 )
-                blobs = session.metrics.get("par.telemetry.blobs")
                 expect(
-                    blobs is not None and blobs.value >= 1,
+                    metrics.value("par.telemetry.blobs") >= 1,
                     "no worker telemetry blobs were merged",
                 )
 
@@ -432,9 +431,8 @@ def run_chaos(
                     plan.forward(data) == reference.forward(data),
                     "degraded batch diverged",
                 )
-                degraded = session.metrics.get("resil.degraded.breaker_open")
                 expect(
-                    degraded is not None and degraded.value >= 1,
+                    metrics.value("resil.degraded.breaker_open") >= 1,
                     "open breaker did not record a degradation",
                 )
                 time.sleep(breaker.cooldown_s + 0.05)
@@ -472,9 +470,8 @@ def run_chaos(
                     plan.forward(data) == reference.forward(data),
                     "deadline-expired batch diverged",
                 )
-                expired = session.metrics.get("resil.deadline.expired")
                 expect(
-                    expired is not None and expired.value >= 1,
+                    metrics.value("resil.deadline.expired") >= 1,
                     "expired deadline was not recorded",
                 )
 
@@ -574,9 +571,8 @@ def run_chaos(
                 breaker.state == "closed",
                 f"probe succeeded but breaker is {breaker.state!r}",
             )
-            degraded = session.metrics.get("serve.degraded.breaker_open")
             expect(
-                degraded is not None and degraded.value >= 1,
+                metrics.value("serve.degraded.breaker_open") >= 1,
                 "open-breaker degradation was not metered by serve",
             )
             if flight is not None:
@@ -721,9 +717,8 @@ def run_chaos(
                     plan.forward(data) == reference.forward(data),
                     "post-interrupt batch diverged",
                 )
-            metric = session.metrics.get("par.interrupted")
             expect(
-                metric is not None and metric.value >= 1,
+                metrics.value("par.interrupted") >= 1,
                 "par.interrupted was not recorded",
             )
 
@@ -761,8 +756,7 @@ def run_chaos(
             "serve.batches",
             "serve.degraded",
         ):
-            metric = session.metrics.get(name)
-            emit(f"  {name}: {metric.value if metric is not None else 0:g}")
+            emit(f"  {name}: {metrics.value(name):g}")
 
         if flight is not None:
             flight.flush()  # finalize any trigger still in its aftermath

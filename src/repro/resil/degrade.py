@@ -33,7 +33,7 @@ import time
 import warnings
 from typing import Optional, Tuple
 
-from repro.obs.hooks import record_resil_degraded
+from repro.obs.hooks import count
 
 #: Seconds a failed pool start keeps ``"parallel"`` degraded to
 #: ``"fast"`` before construction sites try the pool again.
@@ -102,7 +102,8 @@ def resolve_engine(requested: str, site: str = "plan") -> str:
     """
     resolved, reason = _resolve(requested)
     if resolved != requested:
-        record_resil_degraded(requested, resolved, reason)
+        count("resil.degraded")
+        count("resil.degraded.<reason>", reason)
         warnings.warn(
             f"{site}: engine {requested!r} unavailable ({reason}); "
             f"degrading to {resolved!r} (results stay bit-identical)",

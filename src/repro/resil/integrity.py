@@ -36,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ResilienceError, ResilIntegrityError
-from repro.obs.hooks import record_integrity_audit, record_integrity_divergence
+from repro.obs.hooks import count
 
 #: Spec key naming the checksum segment (absent = integrity disabled).
 SUMS_KEY = "sums"
@@ -174,7 +174,7 @@ def audit_shards(
             bounds = spec_bounds(spec)
             got = _faithful_rows(views["out"], bounds)
             if got != expected:
-                record_integrity_divergence()
+                count("par.integrity.divergent")
                 kinds = "+".join(step["kind"] for step in spec["steps"])
                 raise ResilIntegrityError(
                     f"faithful audit diverged for chain {kinds} "
@@ -188,5 +188,5 @@ def audit_shards(
             views.clear()
             for seg in segments:
                 shm.detach_segment(seg)
-    record_integrity_audit(len(sampled))
+    count("par.integrity.audited", amount=len(sampled))
     return len(sampled)

@@ -107,19 +107,6 @@ async def _drive_concurrent(
     return list(results), latencies, wall_s
 
 
-def _hist_p99_ms(name: str) -> float:
-    """p99 of a live-session histogram, in ms (0.0 without session/data)."""
-    from repro.obs.session import current
-
-    session = current()
-    if session is None or name not in session.metrics:
-        return 0.0
-    snap = session.metrics.histogram(name).snapshot()
-    if not snap.get("count"):
-        return 0.0
-    return float(snap.get("p99", 0.0)) * 1e3
-
-
 async def _drive_sequential(
     service: ReproService, op: str, n: int, q: int, payloads
 ) -> Tuple[List[object], float]:
@@ -242,8 +229,11 @@ async def _run_phases(
     overload_queue_depth, overload_factor,
     overload_duration_s, min_gain, gate_tail, values, failures, emit,
 ) -> None:
+    from repro.obs.reader import MetricsView
+    from repro.obs.session import current
     from repro.par.executor import ParallelExecutor
 
+    metrics = MetricsView(current().metrics)
     executor = (
         ParallelExecutor(workers=workers) if engine == "parallel" else None
     )
@@ -292,9 +282,9 @@ async def _run_phases(
             # Where the time went: the dispatcher-side decomposition of
             # phase 1 (read now, before the baseline phase re-runs the
             # same op and mixes its samples in).
-            queue_wait_p99 = _hist_p99_ms(f"serve.queue_wait_s.{op}")
-            service_p99 = _hist_p99_ms(f"serve.compute_s.{op}")
-            coalesce_p99 = _hist_p99_ms(f"serve.coalesce_wait_s.{op}")
+            queue_wait_p99 = metrics.stat(f"serve.queue_wait_s.{op}", "p99") * 1e3
+            service_p99 = metrics.stat(f"serve.compute_s.{op}", "p99") * 1e3
+            coalesce_p99 = metrics.stat(f"serve.coalesce_wait_s.{op}", "p99") * 1e3
             values[f"serve.{slug}.queue_wait_p99_ms"] = queue_wait_p99
             values[f"serve.{slug}.service_p99_ms"] = service_p99
             emit(
@@ -343,7 +333,7 @@ async def _run_phases(
         # the baseline and overload phases run under "default").
         tenant_bits = []
         for t in range(max(1, tenants)):
-            p99_t = _hist_p99_ms(f"serve.tenant.t{t}.latency_s")
+            p99_t = metrics.stat(f"serve.tenant.t{t}.latency_s", "p99") * 1e3
             if p99_t > 0:
                 values[f"serve.tenant.t{t}.p99_ms"] = p99_t
                 tenant_bits.append(f"t{t} {p99_t:.2f}")

@@ -46,16 +46,12 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import ServeDeadlineError, ServeError, ServeOverloadError
 from repro.obs.hooks import (
-    record_serve_admitted,
-    record_serve_batch,
-    record_serve_completed,
-    record_serve_degraded,
+    count,
+    observe,
     record_serve_failed,
-    record_serve_latency_slices,
-    record_serve_queue_depth,
     record_serve_shed,
+    set_gauge,
 )
-from repro.obs.session import current as obs_current
 from repro.obs.slo import SloTracker
 from repro.obs.spans import span
 from repro.serve.admission import AdmissionController
@@ -324,7 +320,8 @@ class ReproService:
             raise
         self.stats["admitted"] += 1
         self._backlog += 1
-        record_serve_admitted(op)
+        count("serve.requests.admitted")
+        count("serve.admitted.<op>", op)
         now = self._clock()
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
@@ -339,7 +336,7 @@ class ReproService:
             future=self._loop.create_future(),
         )
         full = self._coalescer.add(request)
-        record_serve_queue_depth(self._backlog)
+        set_gauge("serve.queue.depth", self._backlog)
         if full is not None:
             self._dispatch(full)
         return await request.future
@@ -348,7 +345,7 @@ class ReproService:
         """Dispatch everything queued now (tests, checkpointing)."""
         for batch in self._coalescer.drain():
             self._dispatch(batch)
-        record_serve_queue_depth(0)
+        set_gauge("serve.queue.depth", 0)
 
     async def join(self) -> None:
         """Wait until every dispatched batch has finished."""
@@ -418,7 +415,10 @@ class ReproService:
             return
         self.stats["batches"] += 1
         wait_s = now - min(r.enqueued_at for r in live)
-        record_serve_batch(op, len(live), wait_s)
+        count("serve.batches")
+        count("serve.batched.<op>", op, amount=len(live))
+        observe("serve.batch.size", len(live))
+        observe("serve.batch.wait_s", wait_s)
         with span(
             "serve.batch",
             op=op,
@@ -470,12 +470,14 @@ class ReproService:
                     self._resolve_error(req, exc, kind=None)
                 return None
             self.stats["degraded"] += 1
-            record_serve_degraded("breaker_open")
+            count("serve.degraded")
+            count("serve.degraded.<reason>", "breaker_open")
             engine = "fast"
         resolved = resolve_engine(engine, site="serve")
         if resolved != engine:
             self.stats["degraded"] += 1
-            record_serve_degraded("engine_unavailable")
+            count("serve.degraded")
+            count("serve.degraded.<reason>", "engine_unavailable")
         return resolved
 
     @contextmanager
@@ -529,21 +531,22 @@ class ReproService:
     ) -> None:
         self.stats["completed"] += 1
         total_s = max(0.0, done_at - req.enqueued_at)
-        record_serve_completed(req.op, total_s)
+        count("serve.requests.completed")
+        observe("serve.request.latency_s", total_s)
+        observe("serve.latency_s.<op>", total_s, req.op)
         # Decompose end-to-end time: coalesce wait (enqueue → batch left
         # the coalescer), dispatcher-queue wait (→ compute start), and
         # compute (→ done). ``started_at`` is when the dispatcher thread
         # picked the batch up; a request resolved without dispatching
         # (dequeued_at == 0.0) records no slices.
         if req.dequeued_at and started_at is not None:
-            record_serve_latency_slices(
-                req.op,
-                req.tenant,
-                total_s,
-                coalesce_wait_s=max(0.0, req.dequeued_at - req.enqueued_at),
-                queue_wait_s=max(0.0, started_at - req.dequeued_at),
-                compute_s=max(0.0, done_at - started_at),
-            )
+            coalesce_s = max(0.0, req.dequeued_at - req.enqueued_at)
+            observe("serve.coalesce_wait_s.<op>", coalesce_s, req.op)
+            queue_s = max(0.0, started_at - req.dequeued_at)
+            observe("serve.queue_wait_s.<op>", queue_s, req.op)
+            compute_s = max(0.0, done_at - started_at)
+            observe("serve.compute_s.<op>", compute_s, req.op)
+            observe("serve.tenant.<tenant>.latency_s", total_s, req.tenant)
         self.slo.record(req.op, req.tenant, total_s, ok=True)
         self._loop.call_soon_threadsafe(self._finish, req.future, result, None)
 
@@ -571,7 +574,7 @@ class ReproService:
     def _finish(self, future, result, exc: Optional[BaseException]) -> None:
         """Event-loop side of resolution: backlog release + future wakeup."""
         self._backlog = max(0, self._backlog - 1)
-        record_serve_queue_depth(self._backlog)
+        set_gauge("serve.queue.depth", self._backlog)
         if exc is not None:
             _set_exception(future, exc)
         else:

@@ -211,7 +211,7 @@ class TestServeSection:
         m.counter("serve.batches").inc(3)
         m.gauge("serve.queue.depth").set(2)
         for size in (4, 8):
-            m.histogram("serve.coalesce.batch_size").observe(size)
+            m.histogram("serve.batch.size").observe(size)
         m.histogram("serve.batch.wait_s").observe(0.002)
         for latency in (0.010, 0.020):
             m.histogram("serve.latency_s.polymul").observe(latency)

@@ -176,24 +176,28 @@ class TestFlightOverhead:
         """Obs off: the serve/flight hook call sites must not allocate.
 
         tracemalloc over a warmed loop of the permanent call sites —
-        record_serve_shed (flight-feeding), record_serve_latency_slices
-        (the per-request decomposition), and a disabled span — must show
-        zero allocations, which is what "no-op when disabled" means.
+        record_serve_shed (flight-feeding), a labelled call of each
+        generic emitter (count / observe / set_gauge), and a disabled
+        span — must show zero allocations, which is what "no-op when
+        disabled" means.
         """
         import tracemalloc
 
         from repro.obs.hooks import (
-            record_serve_latency_slices,
+            count,
+            observe,
             record_serve_shed,
+            set_gauge,
         )
         from repro.obs.spans import span
 
         def hot_loop():
             for _ in range(200):
                 record_serve_shed("queue_full")
-                record_serve_latency_slices(
-                    "polymul", "t0", 0.006, 0.001, 0.002, 0.003
-                )
+                count("serve.admitted.<op>", "polymul")
+                count("par.slot.<slot>.busy_s", 1, amount=0.5)
+                observe("serve.tenant.<tenant>.latency_s", 0.006, "t0")
+                set_gauge("serve.slo.burn_rate.<op>", 2.5, "polymul")
                 with span("noop"):
                     pass
 

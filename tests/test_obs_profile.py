@@ -10,7 +10,7 @@ from repro.kernels import get_backend
 from repro.machine.cpu import get_cpu
 from repro.obs import session as obs_session
 from repro.obs.export import validate_chrome_trace
-from repro.obs.hooks import cache_hit_rates
+from repro.obs.reader import cache_hit_rates
 from repro.obs.profile import (
     available_experiments,
     format_summary,

@@ -11,7 +11,6 @@ from repro.obs.top import (
     _bucket_percentile,
     _missing_panels,
     build_panels,
-    canonicalize_snapshot,
     parse_openmetrics_text,
     render_panels,
     run_top,
@@ -43,7 +42,7 @@ def _serving_registry() -> MetricsRegistry:
     registry.gauge("serve.slo.breach_windows.polymul").set(2)
     registry.counter("serve.slo.violations.polymul").inc(4)
     for size in (8, 16):
-        registry.histogram("serve.coalesce.batch_size").observe(size)
+        registry.histogram("serve.batch.size").observe(size)
     registry.histogram("serve.batch.wait_s").observe(0.001)
     registry.gauge("resil.breaker.state_code").set(2.0)
     registry.counter("resil.breaker.open").inc(1)
@@ -74,7 +73,7 @@ class TestBucketPercentile:
 
 class TestPanels:
     def test_build_panels_from_live_snapshot(self):
-        canon = canonicalize_snapshot(_serving_registry().snapshot())
+        canon = _serving_registry().snapshot()
         panels = build_panels(canon)
 
         requests = panels["requests"]
@@ -101,16 +100,16 @@ class TestPanels:
 
     def test_rates_from_counter_deltas(self):
         registry = _serving_registry()
-        prev = canonicalize_snapshot(registry.snapshot())
+        prev = registry.snapshot()
         registry.counter("serve.requests.completed").inc(30)
         registry.counter("par.slot.0.busy_s").inc(1.0)
-        canon = canonicalize_snapshot(registry.snapshot())
+        canon = registry.snapshot()
         panels = build_panels(canon, prev=prev, interval_s=2.0)
         assert panels["requests"]["rps"] == pytest.approx(15.0)
         assert panels["slots"]["0"]["util"] == pytest.approx(0.5)
 
     def test_render_mentions_every_panel(self):
-        canon = canonicalize_snapshot(_serving_registry().snapshot())
+        canon = _serving_registry().snapshot()
         text = render_panels(build_panels(canon), source="test")
         assert "source: test" in text
         assert "admitted 100" in text
@@ -126,7 +125,7 @@ class TestPanels:
         assert polymul_row.endswith("!")
 
     def test_render_empty_registry_uses_placeholders(self):
-        panels = build_panels(canonicalize_snapshot({}))
+        panels = build_panels({})
         text = render_panels(panels)
         assert "(no completed requests yet)" in text
         assert "breaker   n/a" in text
@@ -134,18 +133,18 @@ class TestPanels:
         assert "(no shm arena activity)" in text
 
     def test_missing_panels_gate(self):
-        empty = build_panels(canonicalize_snapshot({}))
+        empty = build_panels({})
         assert _missing_panels(empty, None) == [
             "requests", "ops", "coalesce"
         ]
         full = build_panels(
-            canonicalize_snapshot(_serving_registry().snapshot())
+            _serving_registry().snapshot()
         )
         assert _missing_panels(full, None) == []
         assert _missing_panels(full, "parallel") == []
         no_pool = _serving_registry()
         no_pool._metrics.pop("par.arena.leases")
-        gated = build_panels(canonicalize_snapshot(no_pool.snapshot()))
+        gated = build_panels(no_pool.snapshot())
         gated["slots"] = {}
         assert _missing_panels(gated, "parallel") == ["slots", "arena"]
 
@@ -153,7 +152,7 @@ class TestPanels:
 class TestScrapeParity:
     def test_exposition_round_trip_matches_live_panels(self):
         registry = _serving_registry()
-        live = build_panels(canonicalize_snapshot(registry.snapshot()))
+        live = build_panels(registry.snapshot())
         scraped = build_panels(
             parse_openmetrics_text(render_openmetrics(registry))
         )

@@ -245,6 +245,31 @@ class TestFaultTolerance:
                 # Hangs are metered apart from crash-restarts.
                 assert session.metrics.get("par.workers.hung").value == 1
 
+    def test_idle_worker_killed_is_restarted(self):
+        """A worker killed between batches is replaced on the next run.
+
+        Dead workers used to be policed only on a poll that found no
+        message; with the survivor keeping the result queue busy, the
+        dead slot was never refilled. (When the killed worker was the
+        one blocked reading the task queue, the survivor cannot dequeue
+        either and the batch completes through the quiet-timeout net
+        and in-process fallback: hence the short ``task_timeout``.)
+        """
+        batch = _vectors(23, count=8)
+        expected = FastNtt(N, Q).forward(batch)
+        with ParallelExecutor(
+            workers=2, task_timeout=0.5, adaptive=False
+        ) as executor:
+            plan = ParNtt(N, Q, executor=executor)
+            assert plan.forward(batch) == expected  # start and warm
+            victim = executor._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+            assert plan.forward(batch) == expected
+            assert executor.stats["restarts"] == 1
+            assert all(proc.is_alive() for proc in executor._procs)
+
     def test_stale_recovered_result_metered(self):
         batch = _vectors(21)
         expected = FastNtt(N, Q).forward(batch)

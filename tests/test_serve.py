@@ -720,7 +720,7 @@ class TestServeObservability:
 
         # Coalescer fill histogram observed one sample per batch.
         assert (
-            snap["serve.coalesce.batch_size"]["count"]
+            snap["serve.batch.size"]["count"]
             == snap["serve.batches"]["value"]
         )
 
