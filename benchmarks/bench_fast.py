@@ -18,6 +18,12 @@ not gated: they are the measurements behind the substrate rule in
 products on r52 only through 102 bits). ``FastNtt`` has no dw stage
 loop, so the NTT contender is :func:`_dw_forward`, kept here.
 
+A third section duels the limb-split GEMM kernel (which serves 51–62-bit
+moduli) against the r52 stage loop on the negacyclic n = 4096 product at
+60 bits, gated at ``--min-gemm-speedup`` (default 2x). Plans at that
+width route to GEMM, so the r52 contender is :func:`_r52_polymul`,
+driving :class:`~repro.fast.r52.R52Ntt` directly.
+
 Runs two ways:
 
 * ``python benchmarks/bench_fast.py [--snapshot PATH] [--min-speedup X]``
@@ -55,6 +61,12 @@ MIN_R52_NTT_SPEEDUP = 1.5
 
 NTT_N = 4096
 BLAS_N = 1 << 12
+
+#: CI floor for the GEMM-vs-r52 negacyclic n = 4096 product speedup.
+MIN_GEMM_SPEEDUP = 2.0
+
+#: Modulus width of the GEMM duel (the benchmark workloads' primes).
+GEMM_BITS = 60
 
 #: Modulus width for the gated r52 section: a two-limb prime, where
 #: ``auto`` picks r52 for every op (the headline 124-bit prime above is
@@ -151,7 +163,72 @@ def run(fast_rounds: int = 3) -> dict:
         values[f"fast.blas4096.{op}.resident_speedup"] = faithful_s / resident_s
 
     values.update(run_r52(fast_rounds=max(fast_rounds, 5)))
+    values.update(run_gemm(fast_rounds=max(fast_rounds, 5)))
     return values
+
+
+def _r52_polymul(plan, stages, twist, untwist, f, g):
+    """Negacyclic product on the r52 stage loop (the GEMM duel's contender).
+
+    The chain :data:`~repro.fast.chain.NEGACYCLIC_MUL_STEPS` as the r52
+    runner executes it: twist, forward stages, pointwise Barrett product,
+    bit-reversed inverse stages, ``1/n`` and untwist, all on resident
+    limb planes between one split and one join.
+    """
+    r = stages.mod
+    bitrev = plan._bitrev
+    n_inv = r.shoup(int(plan.table.n_inverse))
+    spectra = [
+        stages.run_stages(r.mulmod_shoup(r.from_dw(x), twist), False)
+        for x in (f, g)
+    ]
+    prod = r.mulmod(*spectra)
+    prod = stages.run_stages([p[..., bitrev] for p in prod], True)
+    prod = r.mulmod_shoup([p[..., bitrev] for p in prod], n_inv)
+    return r.to_dw(r.mulmod_shoup(prod, untwist))
+
+
+def run_gemm(fast_rounds: int = 5) -> dict:
+    """Duel the GEMM kernel against the r52 stage loop (n = 4096, 60 bits).
+
+    Both contenders take and return resident double-word limb arrays;
+    the outputs are cross-checked bit-exact before the timings count.
+    """
+    from repro.fast.limbs import limbs_from_ints
+    from repro.fast.ntt import FastNegacyclic
+    from repro.fast.r52 import R52Ntt
+
+    q = find_ntt_prime(GEMM_BITS, 2 * NTT_N)
+    rng = random.Random(2027)
+    f, g = (
+        limbs_from_ints([rng.randrange(q) for _ in range(NTT_N)])
+        for _ in range(2)
+    )
+    neg = FastNegacyclic(NTT_N, q)
+    if neg.mode != "gemm":
+        raise AssertionError(f"{GEMM_BITS}-bit plan routed to {neg.mode}")
+    plan = neg.plan
+    r = plan.mod.r52
+    stages = R52Ntt(plan.table, r)
+    twist = r.shoup_vector([pow(neg.psi, i, q) for i in range(NTT_N)])
+    psi_inv = pow(neg.psi, -1, q)
+    untwist = r.shoup_vector([pow(psi_inv, i, q) for i in range(NTT_N)])
+    # Warm both contenders' tables before timing.
+    _r52_polymul(plan, stages, twist, untwist, f, g)
+    neg.multiply(f, g)
+    r52_s, gemm_s, r52_out, gemm_out = _duel(
+        lambda: _r52_polymul(plan, stages, twist, untwist, f, g),
+        lambda: neg.multiply(f, g),
+        fast_rounds,
+    )
+    if (r52_out != gemm_out).any():
+        raise AssertionError("GEMM and r52 negacyclic products differ")
+    key = f"fast.gemm.polymul{NTT_N}_{GEMM_BITS}"
+    return {
+        f"{key}.r52_s": r52_s,
+        f"{key}.gemm_s": gemm_s,
+        f"{key}.speedup": r52_s / gemm_s,
+    }
 
 
 def run_r52(fast_rounds: int = 5) -> dict:
@@ -278,6 +355,10 @@ def main(argv=None) -> int:
         "--min-r52-speedup", type=float, default=MIN_R52_NTT_SPEEDUP,
         help="floor for the r52-vs-schoolbook 4096-point NTT speedup",
     )
+    parser.add_argument(
+        "--min-gemm-speedup", type=float, default=MIN_GEMM_SPEEDUP,
+        help="floor for the GEMM-vs-r52 negacyclic n=4096 product speedup",
+    )
     parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
 
@@ -302,6 +383,11 @@ def main(argv=None) -> int:
               f"  vector_mul "
               f"{values[f'fast.r52.blas4096{suffix}.vector_mul.speedup']:.2f}x"
               f"  axpy {values[f'fast.r52.blas4096{suffix}.axpy.speedup']:.2f}x")
+    gemm_key = f"fast.gemm.polymul{NTT_N}_{GEMM_BITS}"
+    gemm = values[f"{gemm_key}.speedup"]
+    print(f"GEMM vs r52 @ {GEMM_BITS}-bit prime: negacyclic n={NTT_N} product "
+          f"r52 {values[f'{gemm_key}.r52_s'] * 1e3:.2f}ms"
+          f"  gemm {values[f'{gemm_key}.gemm_s'] * 1e3:.2f}ms  {gemm:.2f}x")
     print(f"snapshot recorded to {args.snapshot}")
 
     if ntt_speedup < args.min_speedup:
@@ -311,6 +397,10 @@ def main(argv=None) -> int:
     if r52_ntt < args.min_r52_speedup:
         print(f"FAIL: r52 NTT speedup {r52_ntt:.2f}x is below the "
               f"{args.min_r52_speedup:.1f}x floor", file=sys.stderr)
+        return 1
+    if gemm < args.min_gemm_speedup:
+        print(f"FAIL: GEMM product speedup {gemm:.2f}x is below the "
+              f"{args.min_gemm_speedup:.1f}x floor", file=sys.stderr)
         return 1
     return 0
 
@@ -326,6 +416,7 @@ def test_fast_engine_speedup(tmp_path):
     assert values["fast.r52.ntt4096.speedup"] >= MIN_R52_NTT_SPEEDUP
     assert values["fast.r52.blas4096.vector_mul.speedup"] > 1.0
     assert values["fast.r52.blas4096.axpy.speedup"] > 1.0
+    assert values[f"fast.gemm.polymul{NTT_N}_{GEMM_BITS}.speedup"] >= MIN_GEMM_SPEEDUP
 
 
 if __name__ == "__main__":

@@ -19,9 +19,11 @@ The fast engine itself has two arithmetic substrates: the double-word
 (``"dw"``) schoolbook path and the 52-bit redundant-limb path of
 :mod:`repro.fast.r52` (``"r52"``), which mirrors AVX-512 IFMA's
 ``madd52lo/hi`` split and batches carry propagation once per NTT stage.
-One rule picks between them: transforms (and every chain built on them)
-always run on r52; general-operand products (BLAS) run on r52 through
-:data:`~repro.fast.r52.R52_AUTO_MAX_BETA` (102) bits and on dw above.
+Transforms (and every chain built on them) run on the limb-split
+float64 GEMM kernel of :mod:`repro.fast.gemm` for 51–62-bit moduli and
+on r52 at every other width; general-operand products (BLAS) run on r52
+through :data:`~repro.fast.r52.R52_AUTO_MAX_BETA` (102) bits and on dw
+above.
 Only :class:`FastModulus` and :class:`FastBlasPlan` take ``mode=``, so
 benchmarks can force either substrate. See ``docs/PERFORMANCE.md`` for
 the design and measured speedups.

@@ -15,15 +15,28 @@ computes runs through :func:`run_chain`, whoever the caller is:
   runs: every parallel op, BLAS included, ships as a chain and runs
   here as **one** task per shard.
 
-The runner keeps intermediate values **resident on the r52
-substrate**, the only one transforms run on: registers stay in 52-bit
-limb-plane form across every step — one ``from_dw`` repack per input,
-one ``to_dw`` per output, rather than per primitive.
+The runner keeps intermediate values **resident** on the plan's
+kernel, which the modulus width picks (``FastNtt.mode``):
+
+* ``"gemm"`` (51–62 bits, :mod:`repro.fast.gemm`): registers hold
+  ``uint64`` residues; a forward transform's spectrum stays in the
+  kernel's ``(n1, batch, n2)`` layout and is gathered into natural or
+  bit-reversed order only when the chain exposes it (its output, or a
+  step other than a pointwise product or inverse transform reads it).
+  A ``twist`` read only by forward transforms, and an inverse
+  transform read only by ``untwist`` steps, fold into the transform's
+  tables, so each such pair runs as one transform;
+* ``"r52"`` (every other width): registers stay in 52-bit limb-plane
+  form across every step — one ``from_dw`` repack per input, one
+  ``to_dw`` per output, rather than per primitive.
+
 Every step's mathematical output is a fully reduced canonical residue,
 so chains are bit-exact with the faithful engine by construction. Each
 ntt, twist and pointwise step still counts as one fast-engine kernel
 call (``engine.fast.calls.<op>``) and opens its own ``engine.fast.run``
-span, so the kernels inside a fused product stay visible to profiles.
+span (``mode`` attribute ``"gemm"`` or ``"r52"``), so the kernels inside
+a fused product stay visible to profiles; a folded twist's work shows
+in its transform's span.
 
 Step shapes (all plain dicts, pickle/JSON-safe)::
 
@@ -229,8 +242,11 @@ def run_chain(
     its result in 52-bit limb-plane form; the double-word repack happens
     once per input register and once for the result. Each step produces
     fully reduced canonical residues, which is what makes the fused
-    result bit-identical to the faithful engine.
+    result bit-identical to the faithful engine. Plans on the GEMM
+    kernel run :func:`_run_gemm` instead.
     """
+    if ntt is not None and ntt._gemm is not None:
+        return _run_gemm(steps, inputs, ntt, neg, blas)
     r = ntt.mod.r52 if ntt is not None else None
     # Tagged register file: ("dw", (..., 2) array) or ("r52", planes).
     regs: Dict[str, tuple] = {
@@ -290,12 +306,153 @@ def run_chain(
             with kernel("ntt.pointwise", a):
                 regs[step["dst"]] = ("r52", r.mulmod(as_r52(a), as_r52(b)))
         else:  # blas (validated): the plan counts its own call
-            xa = as_dw(regs[step["x"]])
-            ya = as_dw(regs[step["y"]])
-            op = step["blas_op"]
-            if op == "axpy":
-                result = blas.axpy(int(step["a"]), xa, ya)
-            else:
-                result = getattr(blas, op)(xa, ya)
+            result = _run_blas(step, blas, as_dw(regs[step["x"]]), as_dw(regs[step["y"]]))
             regs[step["dst"]] = ("dw", result)
     return as_dw(regs[OUT_REGISTER])
+
+
+def _run_blas(step: dict, blas: FastBlasPlan, xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
+    op = step["blas_op"]
+    if op == "axpy":
+        return blas.axpy(int(step["a"]), xa, ya)
+    return getattr(blas, op)(xa, ya)
+
+
+class _GemmReg:
+    """One register of the GEMM runner.
+
+    ``pub`` is the public value, ``(..., n)`` ``uint64`` residues in the
+    order the chain defines; ``spec`` a forward transform's resident
+    ``(n1, batch, n2)`` spectrum, whose public order is natural or
+    bit-reversed (``natural``); ``pending`` the operand of a folded step
+    that its only readers finish: a twist's input (read only by forward
+    transforms) or an inverse transform's spectrum (read only by
+    untwists).
+    """
+
+    __slots__ = ("lead", "pub", "dw", "spec", "natural", "pending")
+
+    def __init__(self, lead, pub=None, dw=None, spec=None, natural=False, pending=None):
+        self.lead = lead
+        self.pub, self.dw = pub, dw
+        self.spec, self.natural, self.pending = spec, natural, pending
+
+
+def _readers(steps: Sequence[dict]):
+    """Per step, the later steps reading what it writes; and the output's writer."""
+    writer: Dict[str, int] = {}
+    readers: List[List[dict]] = [[] for _ in steps]
+    for index, step in enumerate(steps):
+        for name in _step_reads(step):
+            if name in writer:
+                readers[writer[name]].append(step)
+        writer[step["dst"]] = index
+    return readers, writer.get(OUT_REGISTER)
+
+
+def _run_gemm(steps, inputs, ntt: FastNtt, neg, blas) -> np.ndarray:
+    """:func:`run_chain` on the GEMM kernel (see the module docstring)."""
+    g = ntt._gemm
+    n = ntt.n
+    q = ntt.q
+    bitrev = ntt._bitrev
+    tables = neg.gemm_tables if neg is not None else None
+    # Folding needs the transform's omega to be psi^2 (always so for
+    # plans a FastNegacyclic builds).
+    fold = tables is not None and pow(neg.psi, 2, q) == ntt.table.root
+    readers, final = _readers(steps)
+    regs: Dict[str, _GemmReg] = {
+        name: _GemmReg(arr.shape[:-2], pub=arr[..., 0], dw=arr)
+        for name, arr in inputs.items()
+    }
+
+    def public(reg: _GemmReg) -> np.ndarray:
+        if reg.pub is None:  # a spectrum: gather it into its public order
+            order = None if reg.natural else bitrev
+            reg.pub = g.expose(reg.spec, order).reshape(reg.lead + (n,))
+        return reg.pub
+
+    def exposed(index: int) -> bool:
+        return index == final or any(
+            r["kind"] not in ("pointwise", "ntt") for r in readers[index]
+        )
+
+    def only(index: int, kind: str, key: str, value: str) -> bool:
+        return index != final and bool(readers[index]) and all(
+            r["kind"] == kind and r.get(key) == value for r in readers[index]
+        )
+
+    def kernel(op: str, reg: _GemmReg):
+        elements = n * int(np.prod(reg.lead, dtype=np.int64))
+        count("engine.fast.gemm.calls.<op>", op)
+        count("engine.fast.gemm.elements.<op>", op, amount=elements)
+        return engine_run_span("fast", op, elements, mode="gemm")
+
+    for index, step in enumerate(steps):
+        kind = step["kind"]
+        if kind == "ntt":
+            natural = bool(step.get("natural", False))
+            src = regs[step["src"]]
+            with kernel(f"ntt.{step['direction']}", src):
+                if step["direction"] == "forward":
+                    if src.pending is not None:  # a folded twist
+                        spec = g.forward(src.pending.reshape(-1, n), tables)
+                    else:
+                        spec = g.forward(public(src).reshape(-1, n), g.cyclic)
+                    reg = _GemmReg(src.lead, spec=spec, natural=natural)
+                    if exposed(index):
+                        public(reg)
+                else:
+                    if src.spec is not None and src.natural == natural:
+                        spec = src.spec
+                    else:
+                        order = None if natural else bitrev
+                        spec = g.absorb(public(src).reshape(-1, n), order)
+                    if fold and only(index, "twist", "which", "untwist"):
+                        reg = _GemmReg(src.lead, pending=spec)
+                    else:
+                        pub = g.inverse(spec, g.cyclic).reshape(src.lead + (n,))
+                        reg = _GemmReg(src.lead, pub=pub)
+        elif kind == "twist":
+            if neg is None:
+                raise NttParameterError(
+                    "chain has a twist step but no negacyclic plan (psi)"
+                )
+            which = step["which"]
+            src = regs[step["src"]]
+            with kernel(f"ntt.{which}", src):
+                if which == "untwist" and src.pending is not None:
+                    pub = g.inverse(src.pending, tables)
+                    reg = _GemmReg(src.lead, pub=pub.reshape(src.lead + (n,)))
+                elif which == "twist" and fold and only(index, "ntt", "direction", "forward"):
+                    reg = _GemmReg(src.lead, pending=public(src))
+                else:
+                    vector = tables.twist_vector(which == "untwist")
+                    reg = _GemmReg(src.lead, pub=g.mod.mulmod(public(src), vector))
+        elif kind == "pointwise":
+            a, b = regs[step["a"]], regs[step["b"]]
+            with kernel("ntt.pointwise", a):
+                if (a.spec is not None and b.spec is not None
+                        and a.natural == b.natural and a.lead == b.lead):
+                    spec = g.mod.mulmod(a.spec, b.spec)
+                    reg = _GemmReg(a.lead, spec=spec, natural=a.natural)
+                    if exposed(index):
+                        public(reg)
+                else:
+                    pub = g.mod.mulmod(public(a), public(b))
+                    reg = _GemmReg(pub.shape[:-1], pub=pub)
+        else:  # blas (validated): the plan counts its own call
+            result = _run_blas(step, blas, _gemm_dw(regs[step["x"]], public),
+                               _gemm_dw(regs[step["y"]], public))
+            reg = _GemmReg(result.shape[:-2], pub=result[..., 0], dw=result)
+        regs[step["dst"]] = reg
+    return _gemm_dw(regs[OUT_REGISTER], public)
+
+
+def _gemm_dw(reg: _GemmReg, public) -> np.ndarray:
+    """A GEMM register's ``(..., n, 2)`` double-word form."""
+    if reg.dw is None:
+        pub = public(reg)
+        reg.dw = np.zeros(pub.shape + (2,), dtype=np.uint64)
+        reg.dw[..., 0] = pub
+    return reg.dw

@@ -85,7 +85,7 @@ class FastModulus:
     :data:`~repro.fast.r52.R52_AUTO_MAX_BETA` (102) bits and dw above.
     Both substrates stay live: ``auto`` needs dw for wide
     general-operand products, transform plans always ask for ``"r52"``
-    (their chains run its three-limb ``mulmod`` at any width), and the
+    (their r52 chains run its three-limb ``mulmod`` at any width), and the
     substrate duels in ``benchmarks/bench_fast.py`` force each side.
     Results are bit-identical either way; ``addmod``/``submod`` always
     stay double-word (the repack would cost more than carry chains on

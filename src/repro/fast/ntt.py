@@ -4,11 +4,15 @@ Where :class:`repro.ntt.simd.SimdNtt` walks each stage one SIMD block at
 a time through an ISA simulator, :class:`FastNtt` runs the *same*
 constant-geometry dataflow — read ``x[i]`` and ``x[i + n/2]``, butterfly,
 write the pair to ``2i``/``2i + 1`` — on entire ``(n,)`` vectors at
-once, always on the 52-bit redundant-limb substrate
-(:class:`~repro.fast.r52.R52Ntt`: Harvey-lazy stages, one batched carry
-flush per stage, a strided scatter for the interleave). Twiddle tables
-come from the same :class:`~repro.ntt.twiddles.TwiddleTable` the
-faithful path uses, so the two engines agree bit for bit.
+once. The kernel is chosen by the modulus width: 51–62-bit moduli run
+each transform as two limb-split float64 GEMMs
+(:class:`~repro.fast.gemm.GemmNtt`, twiddles, twists and ``1/n`` folded
+into its tables); every other width runs the 52-bit redundant-limb
+stage loop (:class:`~repro.fast.r52.R52Ntt`: Harvey-lazy stages, one
+batched carry flush per stage, a strided scatter for the interleave).
+Both derive their constants from the same
+:class:`~repro.ntt.twiddles.TwiddleTable` root the faithful path uses,
+so the engines agree bit for bit.
 
 The batched API accepts ``(batch, n)`` inputs, transforming every row in
 the same NumPy operations — this is how the RNS pipeline's independent
@@ -29,14 +33,16 @@ from repro.fast.chain import (
     CYCLIC_MUL_STEPS,
     NEGACYCLIC_FORWARD_STEPS,
     NEGACYCLIC_INVERSE_STEPS,
+    NEGACYCLIC_MUL_ADD_STEPS,
     NEGACYCLIC_MUL_STEPS,
     run_chain,
     transform_steps,
 )
+from repro.fast.gemm import GemmNtt, GemmTables, gemm_split
 from repro.fast.limbs import IntVector, limbs_to_ints
 from repro.fast.modular import FastModulus
 from repro.fast.r52 import R52Ntt
-from repro.ntt.twiddles import TwiddleTable, bit_reverse
+from repro.ntt.twiddles import TwiddleTable, bit_reverse_indices
 from repro.obs.hooks import count, engine_run_span
 from repro.util.checks import check_power_of_two
 
@@ -53,10 +59,12 @@ class FastNtt:
         table: Optional pre-built twiddle table to share with a faithful
             plan (guarantees both engines use identical twiddles).
 
-    Transforms and the fused chains built on them always run on the r52
-    substrate (:attr:`mode` is ``"r52"``): a Shoup twiddle product
-    stays cheaper than a double-word product at every width through
-    124 bits.
+    Transforms and the fused chains built on them run on the GEMM
+    kernel where :func:`~repro.fast.gemm.gemm_split` accepts ``(n,
+    beta)`` (:attr:`mode` ``"gemm"``: 51–62 bits, n <= 4096) and on the
+    r52 substrate otherwise (:attr:`mode` ``"r52"``): a Shoup twiddle
+    product stays cheaper than a double-word product at every width
+    through 124 bits. Only the chosen kernel's tables are ever built.
     """
 
     def __init__(
@@ -76,19 +84,35 @@ class FastNtt:
         else:
             self.table = TwiddleTable.get(n, q, root or 0)
         self.mod = FastModulus.get(q, "r52")
-        self.mode = self.mod.mode
+        split = gemm_split(n, q.bit_length())
+        #: The GEMM kernel, or ``None`` where the r52 stage loop serves.
+        self._gemm = (
+            GemmNtt(n, q, self.table.root, split) if split is not None else None
+        )
+        self.mode = "gemm" if self._gemm is not None else self.mod.mode
         #: Standalone general-operand products (:meth:`pointwise_mul`)
         #: resolve ``auto`` like BLAS: at three limbs a full r52 Barrett
         #: product is slower than dw.
         self._pointwise_mod = FastModulus.get(q)
-        self._r52 = R52Ntt(self.table, self.mod.r52)
-        bits = n.bit_length() - 1
-        self._bitrev = np.array(
-            [bit_reverse(i, bits) for i in range(n)], dtype=np.intp
-        )
-        #: Shoup pair for ``1/n``: the chain runner applies the inverse
-        #: transform's scaling without leaving limb-plane form.
-        self._n_inv_shoup = self.mod.r52.shoup(int(self.table.n_inverse))
+        self._bitrev = bit_reverse_indices(n)
+
+    @cached_property
+    def _r52(self) -> R52Ntt:
+        """The r52 stage loop (its Shoup tables fill in per stage)."""
+        return R52Ntt(self.table, self.mod.r52)
+
+    @cached_property
+    def _n_inv_shoup(self) -> tuple:
+        """Shoup pair for ``1/n``: the r52 chain runner applies the inverse
+        transform's scaling without leaving limb-plane form."""
+        return self.mod.r52.shoup(int(self.table.n_inverse))
+
+    @cached_property
+    def _blas(self):
+        """BLAS plan for the ``blas`` steps of in-process chains."""
+        from repro.fast.blas import FastBlasPlan
+
+        return FastBlasPlan(self.q)
 
     @property
     def n(self) -> int:
@@ -139,13 +163,14 @@ class FastNtt:
         return self._fused(CYCLIC_MUL_STEPS, f, g)
 
     def _fused(self, steps, *operands: IntMatrix, neg=None) -> IntMatrix:
-        """Run a chain with ``operands`` bound to ``x``, ``y``.
+        """Run a chain with ``operands`` bound to ``x``, ``y``, ``z``.
 
         Ints in, ints out; limb arrays in, limb arrays out.
         """
         coerced = [self._coerce(values) for values in operands]
-        regs = {name: arr for name, (arr, _) in zip(("x", "y"), coerced)}
-        out = run_chain(steps, regs, self, neg=neg)
+        regs = {name: arr for name, (arr, _) in zip(("x", "y", "z"), coerced)}
+        blas = self._blas if any(s["kind"] == "blas" for s in steps) else None
+        out = run_chain(steps, regs, self, neg=neg, blas=blas)
         return limbs_to_ints(out) if coerced[0][1] else out
 
     # ------------------------------------------------------------------
@@ -166,8 +191,10 @@ class FastNegacyclic:
 
     The same psi-twist formulation as :class:`repro.ntt.negacyclic.NegacyclicNtt`
     (twist by powers of a primitive ``2n``-th root, cyclic convolve,
-    untwist), with the twist tables held as r52 Shoup vectors so the
-    whole product is a handful of vectorized passes.
+    untwist). On the GEMM kernel the twist and untwist are folded into
+    the transform tables (:attr:`gemm_tables`); on r52 they are held as
+    Shoup vectors. Either way the whole product is a handful of
+    vectorized passes.
     """
 
     def __init__(
@@ -192,6 +219,12 @@ class FastNegacyclic:
         omega = self.psi * self.psi % q
         self.plan = plan or FastNtt(n, q, root=omega)
         self.mode = self.plan.mode
+
+    @cached_property
+    def gemm_tables(self) -> Optional[GemmTables]:
+        """GEMM tables with the twist folded in (``None`` on r52)."""
+        gemm = self.plan._gemm
+        return None if gemm is None else gemm.negacyclic(self.psi)
 
     @cached_property
     def r52_twist(self) -> tuple:
@@ -224,6 +257,15 @@ class FastNegacyclic:
         """
         with engine_run_span("fast", "ntt.polymul", self.n, mode=self.mode):
             return self.plan._fused(NEGACYCLIC_MUL_STEPS, f, g, neg=self)
+
+    def multiply_add(self, f: IntMatrix, g: IntMatrix, acc: IntMatrix) -> IntMatrix:
+        """Fused ``f * g + acc mod (x^n + 1, q)`` (batched-aware).
+
+        Runs :data:`~repro.fast.chain.NEGACYCLIC_MUL_ADD_STEPS`, the chain
+        :meth:`repro.par.api.ParNegacyclic.multiply_add` ships to workers.
+        """
+        with engine_run_span("fast", "ntt.polymul_add", self.n, mode=self.mode):
+            return self.plan._fused(NEGACYCLIC_MUL_ADD_STEPS, f, g, acc, neg=self)
 
 
 def fast_negacyclic_polymul(

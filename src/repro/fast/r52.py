@@ -68,8 +68,9 @@ FAST_MODES = ("auto", "r52", "dw")
 #: products, and the extra columns erase the win (16-row ``vector_mul``
 #: at 124 bits: dw 21 ms, r52 26 ms), so ``auto`` keeps dw there.
 #: Transforms ignore this bound: a Shoup twiddle product takes one full
-#: product and two low halves, so they run on r52 at every width
-#: (forward NTT, n=4096, 124 bits: 1.3-1.5x over dw for 1-16 rows).
+#: product and two low halves, so they run on r52 at every width the
+#: GEMM kernel does not serve (forward NTT, n=4096, 124 bits: 1.3-1.5x
+#: over dw for 1-16 rows).
 #: ``bench_fast.py`` duels both substrates at 100 and 124 bits.
 R52_AUTO_MAX_BETA = 102
 
@@ -470,7 +471,8 @@ class R52Modulus:
 class R52Ntt:
     """Constant-geometry NTT stages on the r52 substrate, Harvey-lazy.
 
-    The only stage loop of :class:`repro.fast.ntt.FastNtt`: the Pease
+    The stage loop of :class:`repro.fast.ntt.FastNtt` outside the GEMM
+    kernel's 51–62-bit range: the Pease
     dataflow of the faithful :class:`repro.ntt.simd.SimdNtt` (same
     :class:`~repro.ntt.twiddles.TwiddleTable`, bit-identical results),
     with butterfly values kept in ``[0, 4q)`` between stages as 52-bit

@@ -12,6 +12,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.arith.modular import inv_mod, pow_mod
 from repro.arith.primes import root_of_unity
 from repro.errors import NttParameterError
@@ -64,6 +66,17 @@ def bit_reverse(index: int, bits: int) -> int:
         result = (result << 1) | (index & 1)
         index >>= 1
     return result
+
+
+def bit_reverse_indices(n: int) -> np.ndarray:
+    """``[bit_reverse(i, log2 n) for i in range(n)]`` as an index array."""
+    check_power_of_two(n, "length")
+    bits = n.bit_length() - 1
+    index = np.arange(n, dtype=np.intp)
+    out = np.zeros(n, dtype=np.intp)
+    for b in range(bits):
+        out |= ((index >> b) & 1) << (bits - 1 - b)
+    return out
 
 
 def bit_reverse_permutation(values: List[int]) -> List[int]:
@@ -213,13 +226,13 @@ class TwiddleTable:
         while len(cached) <= stage:
             s = len(cached)
             half = self.n >> (s + 1)
-            mask = (1 << s) - 1
-            cached.append(
-                [
-                    self.power(bit_reverse(i & mask, s) * half, inverse)
-                    for i in range(self.n // 2)
-                ]
-            )
+            # The exponent depends on i only through i mod 2^s, so one
+            # period of 2^s twiddles repeats across the n/2 butterflies.
+            period = [
+                self.power(bit_reverse(r, s) * half, inverse)
+                for r in range(1 << s)
+            ]
+            cached.append(period * ((self.n // 2) >> s))
         return cached[stage]
 
     def radix2_stage_twiddles(self, stage: int, inverse: bool = False) -> List[int]:

@@ -74,6 +74,9 @@ CATALOG: Tuple[Metric, ...] = (
     Metric("engine.fast.r52.calls.<op>", C, "call", "fast-engine calls served by the 52-bit-limb substrate"),
     Metric("engine.fast.r52.elements.<op>", C, "element", "elements those r52 calls processed"),
     Metric("engine.fast.r52.carry_flushes", C, "pass", "r52 carry normalizations: one per NTT stage plus one final reduction"),
+    Metric("engine.fast.gemm.calls.<op>", C, "call", "fast-engine chain steps served by the limb-split GEMM kernel (51-62-bit moduli)"),
+    Metric("engine.fast.gemm.elements.<op>", C, "element", "elements those GEMM steps processed"),
+    Metric("engine.fast.gemm.dgemms", C, "call", "float64 dgemm calls the GEMM kernel made (two per transform)"),
     Metric("fastmod.evictions", C, "entry", "`FastModulus` instances evicted from the bounded cache"),
     Metric("twiddle.evictions", C, "entry", "twiddle tables evicted from the bounded cache"),
     # Process pool (repro.par).
@@ -129,6 +132,9 @@ CATALOG: Tuple[Metric, ...] = (
     Metric("par.worker.engine.fast.r52.calls.<op>", C, "call", "worker fast-engine calls served by r52"),
     Metric("par.worker.engine.fast.r52.elements.<op>", C, "element", "elements those worker r52 calls processed"),
     Metric("par.worker.engine.fast.r52.carry_flushes", C, "pass", "r52 carry normalizations inside workers"),
+    Metric("par.worker.engine.fast.gemm.calls.<op>", C, "call", "worker fast-engine chain steps served by the GEMM kernel"),
+    Metric("par.worker.engine.fast.gemm.elements.<op>", C, "element", "elements those worker GEMM steps processed"),
+    Metric("par.worker.engine.fast.gemm.dgemms", C, "call", "dgemm calls the GEMM kernel made inside workers"),
     Metric("par.worker.fastmod.evictions", C, "entry", "`FastModulus` cache evictions inside workers"),
     Metric("par.worker.twiddle.evictions", C, "entry", "twiddle-table cache evictions inside workers"),
     # Resilience (repro.resil and the executor).

@@ -202,8 +202,8 @@ def execute_spec(spec: dict, in_worker: bool = False) -> None:
             }
         with span("par.worker.compute", op=op, steps=len(steps)):
             # BLAS chains carry no transform plan and run on the flat
-            # element axis; everything else stays resident on the r52
-            # substrate across its steps.
+            # element axis; everything else stays resident on the
+            # plan's transform kernel (GEMM or r52) across its steps.
             result = fast_chain.run_chain(steps, regs, plan, neg=neg, blas=bl)
         with span("par.worker.map_shm", role="out"):
             out_view = shm.segment_view(attach(spec["out"]), spec["shape"])

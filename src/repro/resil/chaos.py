@@ -482,10 +482,16 @@ def run_chaos(
             from repro.serve import ReproService, ServeConfig
 
             incidents_before = len(flight.incidents) if flight is not None else 0
+            transitions: list = []
+
+            def on_transition(state: str) -> None:
+                transitions.append(state)
+                record_breaker_transition(state)
+
             breaker = CircuitBreaker(
                 failure_threshold=2,
                 cooldown_s=0.4,
-                on_transition=record_breaker_transition,
+                on_transition=on_transition,
             )
             def make_pairs(count: int) -> list:
                 return [
@@ -524,9 +530,13 @@ def run_chaos(
                         got == schoolbook(*zip(*pairs)),
                         "responses diverged while the breaker tripped",
                     )
+                    # Read the trip from the transitions wave 1 caused:
+                    # on a slow host the wave can outlast the cooldown,
+                    # so the state may already read half_open here.
                     expect(
-                        breaker.state == "open",
-                        f"breaker should be open, is {breaker.state!r}",
+                        "open" in transitions,
+                        f"breaker never opened during the crash wave "
+                        f"(transitions {transitions})",
                     )
                     # Wave 2: open breaker — the service degrades every
                     # batch to the in-process fast engine, still exact.

@@ -35,6 +35,9 @@ FAMILY_SAMPLES = (
     ("engine.fast.r52.calls.ntt.forward", "counter"),
     ("engine.fast.r52.elements.ntt.forward", "counter"),
     ("engine.fast.r52.carry_flushes", "counter"),
+    ("engine.fast.gemm.calls.ntt.forward", "counter"),
+    ("engine.fast.gemm.elements.ntt.forward", "counter"),
+    ("engine.fast.gemm.dgemms", "counter"),
     ("engine.parallel.calls.ntt.polymul", "counter"),
     ("engine.parallel.elements.ntt.polymul", "counter"),
     ("fastmod.evictions", "counter"),
@@ -86,6 +89,9 @@ FAMILY_SAMPLES = (
     ("par.worker.engine.fast.r52.calls.ntt.forward", "counter"),
     ("par.worker.engine.fast.r52.carry_flushes", "counter"),
     ("par.worker.engine.fast.r52.elements.ntt.forward", "counter"),
+    ("par.worker.engine.fast.gemm.calls.ntt.forward", "counter"),
+    ("par.worker.engine.fast.gemm.dgemms", "counter"),
+    ("par.worker.engine.fast.gemm.elements.ntt.forward", "counter"),
     ("par.worker.map_shm_s", "histogram"),
     ("par.worker.plan_s", "histogram"),
     ("par.worker.seg_cache.hits", "counter"),
