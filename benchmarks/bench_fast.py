@@ -20,9 +20,10 @@ loop, so the NTT contender is :func:`_dw_forward`, kept here.
 
 A third section duels the limb-split GEMM kernel (which serves 51–62-bit
 moduli) against the r52 stage loop on the negacyclic n = 4096 product at
-60 bits, gated at ``--min-gemm-speedup`` (default 2x). Plans at that
-width route to GEMM, so the r52 contender is :func:`_r52_polymul`,
-driving :class:`~repro.fast.r52.R52Ntt` directly.
+51, 56 and 60 bits; the 60-bit row is gated at ``--min-gemm-speedup``
+(default 2x), the others are recorded. Plans at those widths route to
+GEMM, so the r52 contender is :func:`_r52_polymul`, driving
+:class:`~repro.fast.r52.R52Ntt` directly.
 
 Runs two ways:
 
@@ -65,8 +66,12 @@ BLAS_N = 1 << 12
 #: CI floor for the GEMM-vs-r52 negacyclic n = 4096 product speedup.
 MIN_GEMM_SPEEDUP = 2.0
 
-#: Modulus width of the GEMM duel (the benchmark workloads' primes).
+#: Modulus width of the gated GEMM duel (the benchmark workloads' primes).
 GEMM_BITS = 60
+
+#: Every width the GEMM duel runs at: the bottom of the GEMM range, its
+#: middle and the gated width.
+GEMM_DUEL_BITS = (51, 56, GEMM_BITS)
 
 #: Modulus width for the gated r52 section: a two-limb prime, where
 #: ``auto`` picks r52 for every op (the headline 124-bit prime above is
@@ -163,7 +168,8 @@ def run(fast_rounds: int = 3) -> dict:
         values[f"fast.blas4096.{op}.resident_speedup"] = faithful_s / resident_s
 
     values.update(run_r52(fast_rounds=max(fast_rounds, 5)))
-    values.update(run_gemm(fast_rounds=max(fast_rounds, 5)))
+    for bits in GEMM_DUEL_BITS:
+        values.update(run_gemm(bits, fast_rounds=max(fast_rounds, 5)))
     return values
 
 
@@ -188,8 +194,8 @@ def _r52_polymul(plan, stages, twist, untwist, f, g):
     return r.to_dw(r.mulmod_shoup(prod, untwist))
 
 
-def run_gemm(fast_rounds: int = 5) -> dict:
-    """Duel the GEMM kernel against the r52 stage loop (n = 4096, 60 bits).
+def run_gemm(bits: int = GEMM_BITS, fast_rounds: int = 5) -> dict:
+    """Duel the GEMM kernel against the r52 stage loop (n = 4096, ``bits``).
 
     Both contenders take and return resident double-word limb arrays;
     the outputs are cross-checked bit-exact before the timings count.
@@ -198,7 +204,7 @@ def run_gemm(fast_rounds: int = 5) -> dict:
     from repro.fast.ntt import FastNegacyclic
     from repro.fast.r52 import R52Ntt
 
-    q = find_ntt_prime(GEMM_BITS, 2 * NTT_N)
+    q = find_ntt_prime(bits, 2 * NTT_N)
     rng = random.Random(2027)
     f, g = (
         limbs_from_ints([rng.randrange(q) for _ in range(NTT_N)])
@@ -206,7 +212,7 @@ def run_gemm(fast_rounds: int = 5) -> dict:
     )
     neg = FastNegacyclic(NTT_N, q)
     if neg.mode != "gemm":
-        raise AssertionError(f"{GEMM_BITS}-bit plan routed to {neg.mode}")
+        raise AssertionError(f"{bits}-bit plan routed to {neg.mode}")
     plan = neg.plan
     r = plan.mod.r52
     stages = R52Ntt(plan.table, r)
@@ -223,7 +229,7 @@ def run_gemm(fast_rounds: int = 5) -> dict:
     )
     if (r52_out != gemm_out).any():
         raise AssertionError("GEMM and r52 negacyclic products differ")
-    key = f"fast.gemm.polymul{NTT_N}_{GEMM_BITS}"
+    key = f"fast.gemm.polymul{NTT_N}_{bits}"
     return {
         f"{key}.r52_s": r52_s,
         f"{key}.gemm_s": gemm_s,
@@ -383,11 +389,14 @@ def main(argv=None) -> int:
               f"  vector_mul "
               f"{values[f'fast.r52.blas4096{suffix}.vector_mul.speedup']:.2f}x"
               f"  axpy {values[f'fast.r52.blas4096{suffix}.axpy.speedup']:.2f}x")
-    gemm_key = f"fast.gemm.polymul{NTT_N}_{GEMM_BITS}"
-    gemm = values[f"{gemm_key}.speedup"]
-    print(f"GEMM vs r52 @ {GEMM_BITS}-bit prime: negacyclic n={NTT_N} product "
-          f"r52 {values[f'{gemm_key}.r52_s'] * 1e3:.2f}ms"
-          f"  gemm {values[f'{gemm_key}.gemm_s'] * 1e3:.2f}ms  {gemm:.2f}x")
+    for bits in GEMM_DUEL_BITS:
+        key = f"fast.gemm.polymul{NTT_N}_{bits}"
+        gated = " (gated)" if bits == GEMM_BITS else ""
+        print(f"GEMM vs r52 @ {bits}-bit prime: negacyclic n={NTT_N} product "
+              f"r52 {values[f'{key}.r52_s'] * 1e3:.2f}ms"
+              f"  gemm {values[f'{key}.gemm_s'] * 1e3:.2f}ms"
+              f"  {values[f'{key}.speedup']:.2f}x{gated}")
+    gemm = values[f"fast.gemm.polymul{NTT_N}_{GEMM_BITS}.speedup"]
     print(f"snapshot recorded to {args.snapshot}")
 
     if ntt_speedup < args.min_speedup:

@@ -74,9 +74,10 @@ from repro.obs.hooks import count
 #: Limbs per residue: ``w * L >= beta`` with ``w <= 21``.
 GEMM_LIMBS = 3
 
-#: Modulus widths (``q.bit_length()``) the GEMM kernel serves. At 50
-#: bits and below r52 runs on one limb and the GEMM only ties it; above
-#: 62 bits three limbs no longer fit the 50-bit sum bound.
+#: Modulus widths (``q.bit_length()``) the GEMM kernel serves. Widths of
+#: 50 bits and below stay on r52's one-limb stage loop (the GEMM is also
+#: faster there, see docs/PERFORMANCE.md); above 62 bits three limbs no
+#: longer fit the 50-bit sum bound.
 GEMM_MIN_BETA = 51
 GEMM_MAX_BETA = 62
 
@@ -148,13 +149,14 @@ class _BlasThreads:
     pins share one saved count and the last one out restores it.
 
     The count is OpenBLAS's exported ``blas_cpu_number``, read and
-    written directly where the library exports it. Its setter
-    ``openblas_set_num_threads`` first restarts the thread pool that a
-    ``fork`` shut down, and the new pool thread spins for about 0.1 s of
-    CPU before it sleeps: in a forked pool worker, pinned to one CPU,
-    that spin delayed the worker enough for its sibling to take both
-    shards of a batch. A single-threaded dgemm never needs the pool, so
-    writing the count leaves it down. The setter is the fallback.
+    written directly. The library's setter ``openblas_set_num_threads``
+    is not used: it first restarts the thread pool that a ``fork`` shut
+    down, and the new pool thread spins for about 0.1 s of CPU before it
+    sleeps; in a forked pool worker, pinned to one CPU, that spin delayed
+    the worker enough for its sibling to take both shards of a batch. A
+    single-threaded dgemm never needs the pool, so writing the count
+    leaves it down. Where the variable is not exported the kernel runs
+    with the library's own count and says so once.
     """
 
     def __init__(self) -> None:
@@ -175,28 +177,16 @@ class _BlasThreads:
         libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
         for path in glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
             try:
-                lib = ctypes.CDLL(path)
-            except OSError:
+                count = ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number")
+            except (OSError, ValueError):
                 continue
-            try:
-                count = ctypes.c_int.in_dll(lib, "blas_cpu_number")
-            except ValueError:
-                pass
-            else:
-                def set_count(threads: int) -> None:
-                    count.value = threads
 
-                return (lambda: count.value), set_count
-            try:
-                get = lib.scipy_openblas_get_num_threads64_
-                set_ = lib.scipy_openblas_set_num_threads64_
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+            def set_count(threads: int) -> None:
+                count.value = threads
+
+            return (lambda: count.value), set_count
         warnings.warn(
-            "OpenBLAS thread control not found next to NumPy; the GEMM "
+            "OpenBLAS thread count not found next to NumPy; the GEMM "
             "NTT runs with the BLAS library's own thread count",
             RuntimeWarning,
             stacklevel=3,

@@ -97,7 +97,8 @@ def _run_sharded(
     axis_key: str,
     inputs: Dict[str, np.ndarray],
     shape: Sequence[int],
-) -> np.ndarray:
+    as_ints: bool = False,
+):
     """Stage ``inputs`` into shared memory, shard, run, collect the output.
 
     All input arrays and the output share ``shape``, whose first axis is
@@ -108,6 +109,8 @@ def _run_sharded(
     or one meta per row, each row its own shard (the residue rows of an
     RNS product each have their own ``q``/``psi``/``root``). Segments
     are always released before returning, even when execution raises.
+    The output comes back as a copied limb array, or with ``as_ints`` as
+    Python ints unpacked straight from the segment.
 
     The ``par.batch`` span brackets staging + run + collection, so a
     profile separates shared-memory copy overhead from pool time.
@@ -122,7 +125,8 @@ def _run_sharded(
     if total <= 0:
         # Empty batch: the identity-shaped result, with no segment
         # staging and no pool round trip for zero work.
-        return np.zeros(tuple(shape), dtype=LIMB_DTYPE)
+        empty = np.zeros(tuple(shape), dtype=LIMB_DTYPE)
+        return limbs_to_ints(empty) if as_ints else empty
     if len(metas) == 1:
         bounds = shard_bounds(total, executor.suggest_shards(metas[0], total))
         metas = list(metas) * len(bounds)
@@ -165,7 +169,10 @@ def _run_sharded(
             count("par.fused.steps", amount=len(metas[0]["steps"]) * len(specs))
             executor.run(specs)
             executor.audit(specs)
-            result = np.array(out_view, copy=True)
+            if as_ints:
+                result = limbs_to_ints(out_view)
+            else:
+                result = np.array(out_view, copy=True)
             del out_view
             return result
         finally:
@@ -206,10 +213,8 @@ def _run_rows(
                 f"expected {shape[:-1]}"
             )
     meta = _chain_meta(steps, ntt.q, ntt.n, ntt.table.root, psi)
-    out = _run_sharded(executor, [meta], "rows", inputs, shape)
-    if flat:
-        out = out[0]
-    return limbs_to_ints(out) if as_ints else out
+    out = _run_sharded(executor, [meta], "rows", inputs, shape, as_ints)
+    return out[0] if flat else out
 
 
 class ParNtt:
@@ -541,5 +546,6 @@ def parallel_rns_mul(
         metas.append(_chain_meta(steps, q, n, ntt.table.root, psi))
     count("engine.<engine>.calls.<op>", "parallel", "rns.mul")
     count("engine.<engine>.elements.<op>", "parallel", "rns.mul", amount=k * n)
-    out = _run_sharded(executor, metas, "rows", {"x": fa, "y": ga}, (k, n, 2))
-    return [limbs_to_ints(out[i]) for i in range(k)]
+    return _run_sharded(
+        executor, metas, "rows", {"x": fa, "y": ga}, (k, n, 2), as_ints=True
+    )

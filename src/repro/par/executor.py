@@ -667,16 +667,13 @@ class ParallelExecutor:
             return True
         from repro.resil import integrity
 
-        out_seg = shm.attach_segment(spec["out"])
-        sums_seg = shm.attach_segment(spec["sums"])
-        try:
+        with shm.mapped(spec["out"]) as out_seg, shm.mapped(
+            spec["sums"]
+        ) as sums_seg:
             out_view = shm.segment_view(out_seg, spec["shape"])
             sums_view = shm.segment_view(sums_seg, (spec["sums_len"],))
             ok = integrity.verify_checksum(spec, out_view, sums_view)
             del out_view, sums_view
-        finally:
-            shm.detach_segment(out_seg)
-            shm.detach_segment(sums_seg)
         return ok
 
     def _event_loop(

@@ -30,8 +30,9 @@ import atexit
 import itertools
 import os
 import secrets
+from contextlib import contextmanager
 from multiprocessing import shared_memory
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -101,6 +102,24 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
             return shared_memory.SharedMemory(name=name)
         finally:
             resource_tracker.register = original
+
+
+@contextmanager
+def mapped(name: str) -> Iterator[shared_memory.SharedMemory]:
+    """The segment ``name`` for the duration of a ``with`` block.
+
+    A segment this process created is used through its own mapping;
+    any other is attached for the block and detached after it.
+    """
+    seg = _CREATED.get(name)
+    if seg is not None:
+        yield seg
+        return
+    seg = attach_segment(name)
+    try:
+        yield seg
+    finally:
+        detach_segment(seg)
 
 
 def segment_view(seg: shared_memory.SharedMemory, shape: Sequence[int]) -> np.ndarray:

@@ -142,11 +142,17 @@ def plan_cache_sizes() -> Dict[str, int]:
     }
 
 
-def _slice(view: np.ndarray, bounds: Tuple[int, int]) -> np.ndarray:
+def _slice(view: np.ndarray, bounds: Tuple[int, int], copy: bool) -> np.ndarray:
     start, stop = bounds
-    # Copy out of the shared buffer: the fast engine allocates fresh
-    # outputs anyway, and a copy lets the segment unmap immediately.
-    return np.array(view[start:stop], copy=True)
+    # Chains never write their inputs, so a worker (whose attachments
+    # stay mapped) reads the shared buffer in place, read-only so a
+    # retry always sees the staged operands; the in-process fallback
+    # copies so its per-call attachment can unmap at once.
+    if copy:
+        return np.array(view[start:stop], copy=True)
+    rows = view[start:stop]
+    rows.flags.writeable = False
+    return rows
 
 
 def execute_spec(spec: dict, in_worker: bool = False) -> None:
@@ -198,7 +204,8 @@ def execute_spec(spec: dict, in_worker: bool = False) -> None:
             bl = blas_plan(spec["q"])
         with span("par.worker.map_shm", role="in"):
             regs = {
-                name: _slice(view_of(name), bounds) for name in spec["inputs"]
+                name: _slice(view_of(name), bounds, copy=not in_worker)
+                for name in spec["inputs"]
             }
         with span("par.worker.compute", op=op, steps=len(steps)):
             # BLAS chains carry no transform plan and run on the flat

@@ -60,7 +60,7 @@ def shard_checksum(view: np.ndarray, bounds: Sequence[int], shape: Sequence[int]
     ).encode()
     crc = zlib.crc32(header)
     payload = np.ascontiguousarray(view[int(bounds[0]) : int(bounds[1])])
-    return zlib.crc32(payload.tobytes(), crc) & 0xFFFFFFFF
+    return zlib.crc32(payload, crc) & 0xFFFFFFFF
 
 
 def write_checksum(spec: dict, out_view: np.ndarray, sums_view: np.ndarray) -> None:

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import threading
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +423,25 @@ class TestSharedMemory:
     def test_no_segments_leak_after_calls(self, pool):
         ParNtt(N, Q, executor=pool).forward(_vectors(14))
         assert shm.created_segments() == 0
+
+    def test_mapped_reuses_own_mapping_and_attaches_foreign(self):
+        own, view = shm.create_segment((2, 2))
+        try:
+            with shm.mapped(own.name) as seg:
+                assert seg is own
+            view[...] = 7  # the creator's mapping outlives the block
+        finally:
+            del view
+            shm.release_segment(own)
+        foreign = shared_memory.SharedMemory(create=True, size=8)
+        try:
+            foreign.buf[0] = 42
+            with shm.mapped(foreign.name) as seg:
+                assert seg is not foreign and seg.buf[0] == 42
+            assert seg.buf is None  # attached for the block only
+        finally:
+            foreign.close()
+            foreign.unlink()
 
     def test_release_rejects_foreign_segment(self):
         seg, _view = shm.create_segment((2, 2))

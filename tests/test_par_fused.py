@@ -190,6 +190,38 @@ class TestFusedBitExactness:
         assert got == want
 
 
+class TestChainInputsReadOnly:
+    """Pool workers run chains on their shared-memory inputs in place."""
+
+    CANONICAL = (
+        fast_chain.transform_steps("forward", True),
+        fast_chain.transform_steps("inverse", False),
+        fast_chain.CYCLIC_MUL_STEPS,
+        fast_chain.NEGACYCLIC_MUL_STEPS,
+        fast_chain.NEGACYCLIC_MUL_ADD_STEPS,
+    )
+
+    @pytest.mark.parametrize("bits", [40, 60, 124])
+    @pytest.mark.parametrize("chain", range(len(CANONICAL) + 6))
+    def test_chains_never_write_their_inputs(self, bits, chain):
+        q = find_ntt_prime(bits, 2 * N)
+        steps = (
+            self.CANONICAL[chain]
+            if chain < len(self.CANONICAL)
+            else _random_chain(random.Random(chain), q)
+        )
+        neg = FastNegacyclic(N, q)
+        regs = {}
+        for seed, name in enumerate(fast_chain.chain_input_names(steps)):
+            arr = neg.plan.mod.to_limbs(_vectors(seed, q=q))
+            arr.flags.writeable = False
+            regs[name] = arr
+        out = fast_chain.run_chain(
+            steps, regs, neg.plan, neg=neg, blas=FastBlasPlan(q)
+        )
+        assert out.shape == (4, N, 2)
+
+
 class TestFusedResilience:
     def test_exact_under_fault_injection(self):
         from repro.resil.inject import Fault, FaultPlan
