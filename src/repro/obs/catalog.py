@@ -83,17 +83,13 @@ CATALOG: Tuple[Metric, ...] = (
     Metric("par.shards.dispatched", C, "shard", "shards handed to the worker pool"),
     Metric("par.shards.completed", C, "shard", "shards completed by a worker (not by fallback)"),
     Metric("par.shard.wall_s", H, "s", "per-shard worker wall-clock"),
-    Metric("par.retries", C, "shard", "shards re-enqueued after a worker crash, hang or corrupt payload"),
+    Metric("par.retries", C, "shard", "shards re-sent after a worker crash, hang or corrupt payload"),
     Metric("par.fallbacks", C, "shard", "shards run in-process after retries ran out"),
     Metric("par.workers.restarted", C, "worker", "replacement workers spawned after a crash or kill"),
-    Metric("par.workers.hung", C, "worker", "workers terminated for exceeding `task_timeout` on a claimed shard"),
+    Metric("par.workers.hung", C, "worker", "workers killed for exceeding `task_timeout` on a shard"),
     Metric("par.workers.pinned", C, "worker", "workers pinned to a CPU at spawn"),
-    Metric("par.workers.pin_unsupported", C, "request", "`pin_workers=True` requests skipped: the platform cannot pin"),
     Metric("par.interrupted", C, "batch", "batches aborted by `KeyboardInterrupt` after quiescing the pool"),
-    Metric("par.stale_results", C, "message", "straggler worker messages discarded"),
-    Metric("par.stale_results.superseded", C, "message", "stale messages of an old generation of a pending shard"),
-    Metric("par.stale_results.recovered", C, "message", "stale messages of a shard already completed by retry or fallback"),
-    Metric("par.limbo.requeued", C, "shard", "unclaimed shards re-enqueued by the quiet-timeout net (no breaker charge)"),
+    Metric("par.stale_results", C, "message", "late worker results of shards the deadline ran in process, discarded"),
     Metric("par.arena.leases", C, "lease", "arena segment leases"),
     Metric("par.arena.reuses", C, "lease", "leases served from the free list"),
     Metric("par.arena.creates", C, "lease", "leases that created a fresh segment"),

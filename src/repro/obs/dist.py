@@ -6,8 +6,8 @@ cannot see. This module closes that gap with three pieces:
 
 * **Trace-context propagation** — when a session is active, the executor
   stamps every task spec with a tiny picklable header
-  (:func:`make_context`: batch correlation id, shard index, attempt,
-  generation) under :data:`CTX_KEY`. When no session is active the
+  (:func:`make_context`: batch correlation id, shard index, attempt)
+  under :data:`CTX_KEY`. When no session is active the
   header is omitted entirely, so telemetry stays strictly zero-cost on
   the pickling path — the obs layer's no-op-when-disabled invariant,
   extended across process boundaries.
@@ -17,7 +17,7 @@ cannot see. This module closes that gap with three pieces:
   permanent ``par.worker.*`` span points inside
   :func:`repro.par.worker.execute_spec` (``map_shm`` / ``plan`` /
   ``compute`` / ``checksum``) record locally. The result is a compact
-  telemetry *blob* shipped back on the result queue next to the
+  telemetry *blob* shipped back on the worker's pipe next to the
   completion message.
 * **Parent-side merge** — :func:`merge_blob` folds a blob into the
   coordinator's session: spans are re-anchored onto the parent timeline
@@ -27,7 +27,7 @@ cannot see. This module closes that gap with three pieces:
   Perfetto timeline with a lane per worker; metrics roll up under
   ``par.worker.*`` with per-slot gauges/counters (shards served, busy
   seconds, plan-cache warmth) under ``par.slot.<k>.*``. The executor
-  discards stale-generation blobs exactly as it discards stale results
+  discards a stale shard's blob exactly as it discards its result
   (metered as ``par.telemetry.stale``).
 
 See docs/OBSERVABILITY.md ("Cross-process tracing") and
@@ -62,28 +62,20 @@ def next_batch_id() -> str:
     return f"batch-{os.getpid()}-{next(_BATCH_IDS)}"
 
 
-def make_context(
-    batch: str, shard: int, attempt: int = 1, gen: int = 0
-) -> Dict[str, object]:
+def make_context(batch: str, shard: int, attempt: int = 1) -> Dict[str, object]:
     """The context header embedded in a task spec (tiny, picklable)."""
-    return {
-        "batch": batch,
-        "shard": int(shard),
-        "attempt": int(attempt),
-        "gen": int(gen),
-    }
+    return {"batch": batch, "shard": int(shard), "attempt": int(attempt)}
 
 
-def refresh_context(spec: dict, attempt: int, gen: int) -> None:
+def refresh_context(spec: dict, attempt: int) -> None:
     """Re-stamp a spec's header before a re-dispatch (no-op without one).
 
-    A fresh dict is installed rather than mutating in place, so copies of
-    the superseded spec (already pickled to a straggling worker) keep
-    their original attempt number.
+    A fresh dict is installed rather than mutating in place, so other
+    holders of the earlier attempt's spec keep its attempt number.
     """
     ctx = spec.get(CTX_KEY)
     if ctx is not None:
-        spec[CTX_KEY] = dict(ctx, attempt=int(attempt), gen=int(gen))
+        spec[CTX_KEY] = dict(ctx, attempt=int(attempt))
 
 
 class ShardObservation:

@@ -32,7 +32,7 @@ import os
 import secrets
 from contextlib import contextmanager
 from multiprocessing import shared_memory
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -277,15 +277,21 @@ class ArenaPool:
         """Return a leased segment to the free list (no unlink)."""
         size = self._leased.pop(seg.name, None)
         if size is None:
-            # Not ours any more (drained mid-batch, or a foreign
-            # segment): destroy if this process still owns it, else
-            # just unmap.
+            # Not ours any more (drained or retired mid-batch, or a
+            # foreign segment): destroy if this process still owns it,
+            # else just unmap.
             if seg.name in _CREATED:
                 release_segment(seg)
             else:
                 detach_segment(seg)
             return
         self._free.setdefault(size, []).append(seg)
+
+    def retire(self, names: Iterable[str]) -> None:
+        """Never recycle these leases: a worker may still write into
+        them, so releasing one destroys it instead."""
+        for name in names:
+            self._held_bytes -= self._leased.pop(name, 0)
 
     def drain(self) -> int:
         """Destroy every held segment (leased and free); returns count."""

@@ -1,14 +1,15 @@
 """Worker-side execution of sharded fast-engine tasks.
 
-A worker is a long-lived process pulling task *specs* off a queue. The
-pool speaks one task type: ``op="chain"``, a
-:mod:`repro.fast.chain` program (its ``steps`` and ``inputs``), its
-modular parameters (``q``; ``n``/``root`` for transforms, ``psi`` for
-twists), shared-memory segment names, and the shard (row or element
-range) to compute. Every parallel op — transforms, products, BLAS —
-is such a chain. All heavy data stays in shared memory; the worker
-maps it, runs :func:`repro.fast.chain.run_chain` on its slice, and
-writes the result rows in place.
+A worker is a long-lived process reading task *specs*, one at a time,
+off its own pipe from the executor. The pool speaks one task type:
+``op="chain"``, a :mod:`repro.fast.chain` program (its ``steps`` and
+``inputs``), its modular parameters (``q``; ``n``/``root`` for
+transforms, ``psi`` for twists), shared-memory segment names, and the
+shard (row or element range) to compute. Every parallel op —
+transforms, products, BLAS — is such a chain. All heavy data stays in
+shared memory; the worker maps it, runs
+:func:`repro.fast.chain.run_chain` on its slice, and writes the result
+rows in place.
 
 Per-worker caches keep :class:`~repro.fast.ntt.FastNtt` /
 :class:`~repro.fast.ntt.FastNegacyclic` / :class:`~repro.fast.blas.FastBlasPlan`
@@ -25,9 +26,7 @@ Resilience hooks (see :mod:`repro.resil`):
 * a ``fault`` entry in the spec (:class:`repro.resil.inject.Fault`
   serialized) makes the worker crash, hang, corrupt its payload after
   checksumming, or complete slowly — *only* inside a real worker
-  process, so the in-process fallback always produces clean results;
-* every queue message echoes the task's *generation* counter, letting
-  the executor discard results from superseded executions.
+  process, so the in-process fallback always produces clean results.
 
 :func:`execute_spec` is deliberately runnable in-process too
 (``in_worker=False``): it is the graceful-degradation path the executor
@@ -168,8 +167,8 @@ def execute_spec(spec: dict, in_worker: bool = False) -> None:
         if kind == "crash":
             os._exit(CRASH_EXIT_CODE)  # fault injection: die mid-task
         elif kind in ("hang", "slow"):
-            # "hang" sleeps past task_timeout (the executor terminates
-            # us); "slow" completes late, racing the re-enqueue logic.
+            # "hang" sleeps past task_timeout (the executor kills
+            # us); "slow" completes late, racing a batch deadline.
             time.sleep(fault.get("seconds", 0.0))
 
     op = spec["op"]
@@ -232,48 +231,38 @@ def execute_spec(spec: dict, in_worker: bool = False) -> None:
             shm.detach_segment(seg)
 
 
-def worker_main(
-    slot: int, current, task_queue, result_queue, pin_cpu: Optional[int] = None
-) -> None:
+def worker_main(conn, pin_cpu: Optional[int] = None) -> None:
     """Worker process entry: serve task specs until the ``None`` sentinel.
 
-    Before computing, the worker advertises the task id in
-    ``current[slot]`` — a shared array owned by the executor. Unlike a
-    queue message (buffered through a feeder thread that dies with the
-    process), this direct write survives a crash, so the executor can
-    always attribute in-flight work to a dead worker. Completion is
-    reported on ``result_queue`` as ``("done", task_id, gen, slot,
-    wall_s)`` or, when the spec itself raised (bad operands, unknown
-    op), ``("error", task_id, gen, slot, message)`` — ``gen`` echoes
-    the generation counter from the task message so the executor can
-    discard results of superseded executions.
+    ``conn`` is this worker's end of its duplex pipe to the executor,
+    which sends one spec at a time and knows which shard it sent, so
+    replies name no task: ``("done", wall_s)`` or, when the spec itself
+    raised (bad operands, unknown op), ``("error", message)``.
 
     Telemetry (:mod:`repro.obs.dist`): a spec carrying a trace-context
     header under :data:`repro.obs.dist.CTX_KEY` is executed inside a
     worker-local :class:`~repro.obs.dist.ShardObservation`, and the
-    resulting blob is appended as a sixth message element. Specs without
+    resulting blob is appended as a third message element. Specs without
     a header — every spec dispatched while no parent session is active —
-    take the original five-element path with zero extra work.
+    take the two-element path with zero extra work.
     """
     # Forked workers inherit the parent's process-global session object;
     # capturing into it here would be writes nobody reads. Drop it so
     # instrumentation inside the worker is a no-op unless a shard
     # explicitly scopes a local session via ShardObservation.
     obs_session.disable()
-    if pin_cpu is not None and hasattr(os, "sched_setaffinity"):
+    if pin_cpu is not None:
         try:
             os.sched_setaffinity(0, {pin_cpu})
         except (OSError, ValueError):
             pass  # pinning is best-effort; an invalid CPU just skips it
     while True:
         try:
-            item = task_queue.get()
+            spec = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             return
-        if item is None:
+        if spec is None:
             return
-        task_id, gen, spec = item
-        current[slot] = task_id
         ctx = spec.get(dist.CTX_KEY)
         started = time.perf_counter()
         observation = None
@@ -286,17 +275,17 @@ def worker_main(
         except KeyboardInterrupt:
             return
         except BaseException as exc:  # report, never kill the worker
-            message = ("error", task_id, gen, slot, f"{type(exc).__name__}: {exc}")
-            if observation is not None and observation.blob is not None:
-                message += (observation.blob,)
-            result_queue.put(message)
+            message = ("error", f"{type(exc).__name__}: {exc}")
         else:
-            message = ("done", task_id, gen, slot, time.perf_counter() - started)
+            message = ("done", time.perf_counter() - started)
             if observation is not None and observation.blob is not None:
                 observation.blob["cache"] = plan_cache_sizes()
-                message += (observation.blob,)
-            result_queue.put(message)
-        current[slot] = -1
+        if observation is not None and observation.blob is not None:
+            message += (observation.blob,)
+        try:
+            conn.send(message)
+        except OSError:
+            return  # the executor discarded this worker
 
 
 def reset_plan_caches() -> None:

@@ -19,7 +19,7 @@ Fault kinds:
   checksum, then flips bits in the shared-memory payload — modelling
   in-flight corruption that only the integrity check can catch;
 * ``"slow"`` — the worker sleeps briefly, then completes normally
-  (exercises late completions racing the executor's re-enqueue logic).
+  (exercises late completions racing a batch deadline).
 
 Faults are one-shot by default: a retried shard runs clean. ``sticky``
 faults persist across retries (the legacy ``inject_crash`` semantics,
@@ -49,7 +49,7 @@ class Fault:
     Attributes:
         kind: One of :data:`FAULT_KINDS`.
         seconds: Sleep duration for ``"hang"`` / ``"slow"`` faults.
-        sticky: Whether the fault survives re-enqueue (every retry
+        sticky: Whether the fault survives re-send (every retry
             fails too, forcing the in-process fallback).
     """
 
@@ -164,7 +164,7 @@ def apply_fault_to_spec(spec: dict, fault: Optional[Fault]) -> dict:
 
 
 def strip_transient_fault(spec: dict) -> dict:
-    """Drop a non-sticky fault before re-enqueue (retries run clean)."""
+    """Drop a non-sticky fault before re-send (retries run clean)."""
     fault = spec.get("fault")
     if fault is not None and not fault.get("sticky"):
         spec = dict(spec)

@@ -3,7 +3,7 @@
 Three small, composable primitives that :class:`~repro.par.executor.ParallelExecutor`
 threads through its event loop:
 
-* :class:`RetryPolicy` — how many times a failed shard is re-enqueued
+* :class:`RetryPolicy` — how many times a failed shard is re-sent
   and how long to wait between attempts (exponential backoff with
   *deterministic, seedable* jitter: the same ``(seed, attempt)`` pair
   always yields the same delay, so chaos tests replay exactly).
@@ -41,7 +41,7 @@ class RetryPolicy:
             a shard that fails ``max_attempts`` times degrades to the
             in-process fallback. Must be >= 1.
         base_delay_s: Delay before the first retry; ``0.0`` (the
-            default) re-enqueues immediately, preserving the historical
+            default) re-sends immediately, preserving the historical
             executor behavior.
         multiplier: Backoff growth factor per additional attempt.
         max_delay_s: Upper clamp on any single delay.

@@ -2,15 +2,15 @@
 
 Covers the :mod:`repro.obs.dist` layer end to end: specs carry context
 headers only while a session is active (the zero-cost invariant), the
-worker protocol ships blobs exactly when asked to, stale-generation
+worker protocol ships blobs exactly when asked to, a straggler's
 telemetry is discarded and metered, faulted shards keep their
 parent-side records, and ``run_timeline`` produces a valid merged
 Chrome trace with one lane per worker.
 """
 
 import json
+import multiprocessing
 import os
-import queue
 import random
 import time
 
@@ -57,22 +57,19 @@ def pool():
 class TestContextHeader:
     def test_make_context_fields(self):
         ctx = dist.make_context("batch-1-0", 3)
-        assert ctx == {"batch": "batch-1-0", "shard": 3, "attempt": 1, "gen": 0}
+        assert ctx == {"batch": "batch-1-0", "shard": 3, "attempt": 1}
 
     def test_refresh_context_installs_fresh_dict(self):
         spec = {dist.CTX_KEY: dist.make_context("b", 0)}
         before = spec[dist.CTX_KEY]
-        dist.refresh_context(spec, attempt=2, gen=1)
-        assert spec[dist.CTX_KEY] == {
-            "batch": "b", "shard": 0, "attempt": 2, "gen": 1,
-        }
-        # The superseded header is untouched: a straggling worker that
-        # already pickled the old spec keeps reporting attempt 1.
+        dist.refresh_context(spec, attempt=2)
+        assert spec[dist.CTX_KEY] == {"batch": "b", "shard": 0, "attempt": 2}
+        # The earlier attempt's header is untouched.
         assert before["attempt"] == 1
 
     def test_refresh_context_without_header_is_noop(self):
         spec = {"op": "ntt"}
-        dist.refresh_context(spec, attempt=2, gen=1)
+        dist.refresh_context(spec, attempt=2)
         assert dist.CTX_KEY not in spec
 
     def test_batch_ids_are_unique(self):
@@ -82,13 +79,13 @@ class TestContextHeader:
 class TestZeroCostWhenDisabled:
     def _capture_dispatch(self, executor):
         captured = []
-        original = executor._tasks.put
+        original = executor._send
 
-        def spy(item):
-            captured.append(item)
-            original(item)
+        def spy(slot, task_id, spec):
+            captured.append(spec)
+            original(slot, task_id, spec)
 
-        executor._tasks.put = spy
+        executor._send = spy
         return captured
 
     def test_specs_omit_header_without_session(self, pool):
@@ -98,9 +95,9 @@ class TestZeroCostWhenDisabled:
         try:
             plan.forward(batch)
         finally:
-            del pool._tasks.put
+            del pool._send
         assert captured
-        for _, _, spec in captured:
+        for spec in captured:
             assert dist.CTX_KEY not in spec
 
     def test_specs_carry_header_with_session(self, pool):
@@ -111,13 +108,13 @@ class TestZeroCostWhenDisabled:
             with observing():
                 plan.forward(batch)
         finally:
-            del pool._tasks.put
+            del pool._send
         assert captured
         batches = set()
-        for _, _, spec in captured:
+        for spec in captured:
             ctx = spec[dist.CTX_KEY]
             batches.add(ctx["batch"])
-            assert ctx["attempt"] == 1 and ctx["gen"] == 0
+            assert ctx["attempt"] == 1
         assert len(batches) == 1
 
 
@@ -146,13 +143,17 @@ def _ntt_spec(data, root, extra=None):
 
 class TestWorkerProtocol:
     def _run_worker(self, spec):
-        tasks, results = queue.Queue(), queue.Queue()
-        tasks.put((7, 0, spec))
-        tasks.put(None)
-        worker_main(0, [0], tasks, results)
-        return results.get_nowait()
+        executor_end, worker_end = multiprocessing.Pipe()
+        try:
+            executor_end.send(spec)
+            executor_end.send(None)
+            worker_main(worker_end)
+            return executor_end.recv()
+        finally:
+            executor_end.close()
+            worker_end.close()
 
-    def test_no_header_means_five_element_message(self):
+    def test_no_header_means_two_element_message(self):
         data = limbs_from_ints(_vectors(3, count=2))
         spec, segments = _ntt_spec(data, FastNtt(N, Q).table.root)
         try:
@@ -161,7 +162,7 @@ class TestWorkerProtocol:
             for seg in segments:
                 shm.release_segment(seg)
         assert message[0] == "done"
-        assert len(message) == 5
+        assert len(message) == 2
 
     def test_header_appends_telemetry_blob(self):
         data = limbs_from_ints(_vectors(4, count=2))
@@ -174,8 +175,8 @@ class TestWorkerProtocol:
         finally:
             for seg in segments:
                 shm.release_segment(seg)
-        assert message[0] == "done" and len(message) == 6
-        blob = message[5]
+        assert message[0] == "done" and len(message) == 3
+        blob = message[2]
         assert blob["v"] == dist.BLOB_VERSION
         assert blob["ctx"] == ctx
         assert blob["pid"] == os.getpid()
@@ -189,9 +190,9 @@ class TestWorkerProtocol:
         ctx = dist.make_context("batch-err", 0)
         spec = {"op": "bogus", dist.CTX_KEY: ctx}
         message = self._run_worker(spec)
-        assert message[0] == "error" and len(message) == 6
-        assert message[5]["ok"] is False
-        assert message[5]["ctx"] == ctx
+        assert message[0] == "error" and len(message) == 3
+        assert message[2]["ok"] is False
+        assert message[2]["ctx"] == ctx
 
 
 class TestMergeBlob:
@@ -279,30 +280,34 @@ class TestMergedTimeline:
         assert all(label.startswith("worker ") for label in labels)
 
     def test_stale_blob_is_discarded_and_metered(self):
-        batch = _vectors(7, count=2)
+        # A slow shard outlives its batch deadline and falls back in
+        # process; its worker's late result and blob arrive during the
+        # next batch and are discarded, metered, and never merged.
+        batch, later = _vectors(7, count=2), _vectors(9, count=2)
+        reference = FastNtt(N, Q)
         with observing() as session:
-            with ParallelExecutor(workers=1, task_timeout=30.0) as executor:
-                forged = executor._next_id  # the next batch's first task id
-                executor.start()
-                blob = {
-                    "v": dist.BLOB_VERSION,
-                    "ctx": {"batch": "bogus", "shard": 0,
-                            "attempt": 1, "gen": 99},
-                    "pid": 1,
-                    "mono0": time.monotonic(),
-                    "wall_s": 0.0,
-                    "ok": True,
-                    "spans": [["par.worker.compute", 0.0, 0.001, {}]],
-                    "counters": {},
-                }
-                executor._results.put(("done", forged, 99, 0, 0.0, blob))
+            with ParallelExecutor(
+                workers=1, task_timeout=30.0, adaptive=False
+            ) as executor:
                 plan = ParNtt(N, Q, executor=executor)
-                assert plan.forward(batch) == FastNtt(N, Q).forward(batch)
+                assert plan.forward(batch) == reference.forward(batch)
+                executor.inject(FaultPlan({0: Fault("slow", seconds=0.3)}))
+                executor.batch_deadline_s = 0.05
+                assert plan.forward(batch) == reference.forward(batch)
+                executor.batch_deadline_s = None
+                executor.inject(None)
+                assert plan.forward(later) == reference.forward(later)
                 assert executor.stats["stale"] == 1
+            assert session.metrics.get("par.stale_results").value == 1
             assert session.metrics.get("par.telemetry.stale").value == 1
+            stale_batch = next(
+                e["batch"] for e in session.events
+                if e["event"] == "shard.fallback"
+            )
             assert not any(
-                r.attrs.get("batch") == "bogus"
+                r.attrs.get("batch") == stale_batch
                 for r in session.spans.records
+                if r.name.startswith("par.worker.")
             )
 
     def test_crashed_shard_keeps_parent_records_and_reattributes(self):

@@ -65,7 +65,6 @@ FAMILY_SAMPLES = (
     ("par.integrity.corrupt", "counter"),
     ("par.integrity.divergent", "counter"),
     ("par.interrupted", "counter"),
-    ("par.limbo.requeued", "counter"),
     ("par.retries", "counter"),
     ("par.shard.wall_s", "histogram"),
     ("par.shards.completed", "counter"),
@@ -78,8 +77,6 @@ FAMILY_SAMPLES = (
     ("par.slot.0.shard_wall_s", "histogram"),
     ("par.slot.0.shards", "counter"),
     ("par.stale_results", "counter"),
-    ("par.stale_results.recovered", "counter"),
-    ("par.stale_results.superseded", "counter"),
     ("par.telemetry.blobs", "counter"),
     ("par.telemetry.stale", "counter"),
     ("par.worker.checksum_s", "histogram"),
@@ -98,7 +95,6 @@ FAMILY_SAMPLES = (
     ("par.worker.seg_cache.misses", "counter"),
     ("par.worker.shard_s", "histogram"),
     ("par.workers.hung", "counter"),
-    ("par.workers.pin_unsupported", "counter"),
     ("par.workers.pinned", "counter"),
     ("par.workers.restarted", "counter"),
     ("resil.breaker.open", "counter"),

@@ -560,21 +560,6 @@ class TestFaultPlanExecution:
             assert time.monotonic() - started >= 0.05
             assert executor.stats["retries"] == 1
 
-    def test_stale_generation_results_are_discarded(self):
-        # Forge a completion for a superseded generation: it must be
-        # counted as stale and never satisfy the shard (the single
-        # writer whose generation matches does).
-        batch = _vectors(33, count=2)
-        with observing() as session:
-            with ParallelExecutor(workers=1, task_timeout=20.0) as executor:
-                forged = executor._next_id  # the next batch's first task id
-                executor.start()
-                executor._results.put(("done", forged, 99, 0, 0.0))
-                plan = ParNtt(N, Q, executor=executor)
-                assert plan.forward(batch) == FastNtt(N, Q).forward(batch)
-                assert executor.stats["stale"] == 1
-            assert session.metrics.get("par.stale_results").value == 1
-
 
 class TestDeadlineExecution:
     def test_expired_deadline_short_circuits_in_process(self):
