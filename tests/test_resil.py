@@ -560,6 +560,39 @@ class TestFaultPlanExecution:
             assert time.monotonic() - started >= 0.05
             assert executor.stats["retries"] == 1
 
+    def test_stale_generation_results_are_discarded(self):
+        # A superseded run of a shard: the batch deadline sends a slow
+        # shard to the in-process fallback while its worker keeps
+        # computing. The worker's late result must be counted as stale
+        # and never satisfy a shard of the next batch.
+        batch, later = _vectors(33, count=2), _vectors(36, count=2)
+        reference = FastNtt(N, Q)
+        with observing() as session:
+            with ParallelExecutor(
+                workers=1, task_timeout=30.0, adaptive=False
+            ) as executor:
+                plan = ParNtt(N, Q, executor=executor)
+                assert plan.forward(batch) == reference.forward(batch)
+                executor.inject(FaultPlan({0: Fault("slow", seconds=0.3)}))
+                executor.batch_deadline_s = 0.05
+                try:
+                    assert plan.forward(batch) == reference.forward(batch)
+                finally:
+                    executor.batch_deadline_s = None
+                    executor.inject(None)
+                assert executor.stats["stale"] == 0  # still running
+                assert plan.forward(later) == reference.forward(later)
+                assert executor.stats["stale"] == 1
+                fallbacks = executor.stats["fallbacks"]
+                assert fallbacks >= 1
+            metrics = session.metrics
+            assert metrics.get("par.stale_results").value == 1
+            # The straggler completed nothing: every dispatched shard was
+            # completed by a worker or by the fallback, never by both.
+            assert metrics.get("par.shards.completed").value == (
+                metrics.get("par.shards.dispatched").value - fallbacks
+            )
+
 
 class TestDeadlineExecution:
     def test_expired_deadline_short_circuits_in_process(self):
