@@ -18,12 +18,20 @@ not gated: they are the measurements behind the substrate rule in
 products on r52 only through 102 bits). ``FastNtt`` has no dw stage
 loop, so the NTT contender is :func:`_dw_forward`, kept here.
 
-A third section duels the limb-split GEMM kernel (which serves 51–62-bit
+A third section duels the limb-split GEMM kernel (which serves 16–62-bit
 moduli) against the r52 stage loop on the negacyclic n = 4096 product at
-51, 56 and 60 bits; the 60-bit row is gated at ``--min-gemm-speedup``
-(default 2x), the others are recorded. Plans at those widths route to
-GEMM, so the r52 contender is :func:`_r52_polymul`, driving
-:class:`~repro.fast.r52.R52Ntt` directly.
+16, 48, 51, 56 and 60 bits; the 60-bit row is gated at
+``--min-gemm-speedup`` (default 2x), the others are recorded (the 16- and
+48-bit rows are the measurements behind ``GEMM_MIN_BETA``). Plans at
+those widths route to GEMM, so the r52 contender is
+:func:`_r52_polymul`, driving :class:`~repro.fast.r52.R52Ntt` directly.
+
+A fourth section times one RNS multiply-accumulate step (4 x 60-bit
+primes, n = 4096, lists in and lists out): the packed fast ring's
+``ring.add(ring.mul(a, b), c)`` against one
+:meth:`~repro.fast.ntt.FastNegacyclic.multiply_add` per prime on the
+residue lists, median of interleaved rounds, gated at
+``--min-rns-speedup`` (default 1.05x).
 
 Runs two ways:
 
@@ -69,9 +77,20 @@ MIN_GEMM_SPEEDUP = 2.0
 #: Modulus width of the gated GEMM duel (the benchmark workloads' primes).
 GEMM_BITS = 60
 
-#: Every width the GEMM duel runs at: the bottom of the GEMM range, its
-#: middle and the gated width.
-GEMM_DUEL_BITS = (51, 56, GEMM_BITS)
+#: Every width the GEMM duel runs at: the bottom of the GEMM range (the
+#: narrowest n = 4096 prime), a width where r52 runs on one limb, the
+#: narrowest where it needs two, the middle and the gated width.
+GEMM_DUEL_BITS = (16, 48, 51, 56, GEMM_BITS)
+
+#: CI floor for the packed-ring vs per-prime RNS step speedup. The
+#: per-prime side shares the strict packer and the paired forward pass,
+#: so the row isolates what the block layout saves (double-word wraps,
+#: range checks, adds and unpacks): 1.11-1.19x on a 2-vCPU host. Below
+#: 1.0 the ring would be re-packing or unpacking between operations.
+MIN_RNS_SPEEDUP = 1.05
+
+#: Primes in the RNS step's basis, each of ``GEMM_BITS`` bits (the rns-inproc shape).
+RNS_PRIMES = 4
 
 #: Modulus width for the gated r52 section: a two-limb prime, where
 #: ``auto`` picks r52 for every op (the headline 124-bit prime above is
@@ -170,7 +189,55 @@ def run(fast_rounds: int = 3) -> dict:
     values.update(run_r52(fast_rounds=max(fast_rounds, 5)))
     for bits in GEMM_DUEL_BITS:
         values.update(run_gemm(bits, fast_rounds=max(fast_rounds, 5)))
+    values.update(run_rns(rounds=max(fast_rounds, 9)))
     return values
+
+
+def run_rns(rounds: int = 9) -> dict:
+    """One RNS multiply-accumulate step: packed ring against per-prime calls.
+
+    Both sides take the residues as lists and return them as lists, and
+    both are cross-checked equal. Rounds alternate the two sides; each
+    side's time is the median of its rounds.
+    """
+    import statistics
+
+    from repro.fast.ntt import FastNegacyclic
+    from repro.rns.basis import RnsBasis
+    from repro.rns.poly import RnsPolynomial, RnsPolynomialRing
+
+    primes = RnsBasis.generate(RNS_PRIMES, GEMM_BITS, 2 * NTT_N).primes
+    rng = random.Random(2028)
+    a, b, c = (
+        [[rng.randrange(q) for _ in range(NTT_N)] for q in primes]
+        for _ in range(3)
+    )
+    ring = RnsPolynomialRing(NTT_N, RnsBasis(primes), get_backend("avx512"), engine="fast")
+    plans = [FastNegacyclic(NTT_N, q) for q in primes]
+
+    def packed():
+        f, g, acc = (RnsPolynomial(ring, rows) for rows in (a, b, c))
+        return ring.add(ring.mul(f, g), acc).residues
+
+    def per_prime():
+        return [plan.multiply_add(*rows) for plan, *rows in zip(plans, a, b, c)]
+
+    if packed() != per_prime():  # also warms both sides' tables
+        raise AssertionError("packed ring and per-prime multiply_add differ")
+    times = {packed: [], per_prime: []}
+    for _ in range(rounds):
+        for fn in times:
+            start = time.perf_counter()
+            fn()
+            times[fn].append(time.perf_counter() - start)
+    packed_s = statistics.median(times[packed])
+    per_prime_s = statistics.median(times[per_prime])
+    key = f"fast.rns.mac{NTT_N}_{RNS_PRIMES}x{GEMM_BITS}"
+    return {
+        f"{key}.per_prime_s": per_prime_s,
+        f"{key}.packed_s": packed_s,
+        f"{key}.speedup": per_prime_s / packed_s,
+    }
 
 
 def _r52_polymul(plan, stages, twist, untwist, f, g):
@@ -365,6 +432,10 @@ def main(argv=None) -> int:
         "--min-gemm-speedup", type=float, default=MIN_GEMM_SPEEDUP,
         help="floor for the GEMM-vs-r52 negacyclic n=4096 product speedup",
     )
+    parser.add_argument(
+        "--min-rns-speedup", type=float, default=MIN_RNS_SPEEDUP,
+        help="floor for the packed-ring vs per-prime RNS step speedup",
+    )
     parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
 
@@ -397,6 +468,11 @@ def main(argv=None) -> int:
               f"  gemm {values[f'{key}.gemm_s'] * 1e3:.2f}ms"
               f"  {values[f'{key}.speedup']:.2f}x{gated}")
     gemm = values[f"fast.gemm.polymul{NTT_N}_{GEMM_BITS}.speedup"]
+    key = f"fast.rns.mac{NTT_N}_{RNS_PRIMES}x{GEMM_BITS}"
+    rns = values[f"{key}.speedup"]
+    print(f"RNS step, {RNS_PRIMES} x {GEMM_BITS}-bit primes, n={NTT_N}, lists in "
+          f"and out: per-prime multiply_add {values[f'{key}.per_prime_s'] * 1e3:.2f}ms"
+          f"  packed ring {values[f'{key}.packed_s'] * 1e3:.2f}ms  {rns:.2f}x (gated)")
     print(f"snapshot recorded to {args.snapshot}")
 
     if ntt_speedup < args.min_speedup:
@@ -410,6 +486,10 @@ def main(argv=None) -> int:
     if gemm < args.min_gemm_speedup:
         print(f"FAIL: GEMM product speedup {gemm:.2f}x is below the "
               f"{args.min_gemm_speedup:.1f}x floor", file=sys.stderr)
+        return 1
+    if rns < args.min_rns_speedup:
+        print(f"FAIL: packed RNS step speedup {rns:.2f}x is below the "
+              f"{args.min_rns_speedup:.1f}x floor", file=sys.stderr)
         return 1
     return 0
 
@@ -426,6 +506,7 @@ def test_fast_engine_speedup(tmp_path):
     assert values["fast.r52.blas4096.vector_mul.speedup"] > 1.0
     assert values["fast.r52.blas4096.axpy.speedup"] > 1.0
     assert values[f"fast.gemm.polymul{NTT_N}_{GEMM_BITS}.speedup"] >= MIN_GEMM_SPEEDUP
+    assert values[f"fast.rns.mac{NTT_N}_{RNS_PRIMES}x{GEMM_BITS}.speedup"] >= MIN_RNS_SPEEDUP
 
 
 if __name__ == "__main__":

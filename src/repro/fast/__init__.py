@@ -20,12 +20,14 @@ The fast engine itself has two arithmetic substrates: the double-word
 :mod:`repro.fast.r52` (``"r52"``), which mirrors AVX-512 IFMA's
 ``madd52lo/hi`` split and batches carry propagation once per NTT stage.
 Transforms (and every chain built on them) run on the limb-split
-float64 GEMM kernel of :mod:`repro.fast.gemm` for 51–62-bit moduli and
+float64 GEMM kernel of :mod:`repro.fast.gemm` for 16–62-bit moduli and
 on r52 at every other width; general-operand products (BLAS) run on r52
 through :data:`~repro.fast.r52.R52_AUTO_MAX_BETA` (102) bits and on dw
 above.
 Only :class:`FastModulus` and :class:`FastBlasPlan` take ``mode=``, so
-benchmarks can force either substrate. See ``docs/PERFORMANCE.md`` for
+benchmarks can force either substrate. A fast-engine RNS ring keeps each
+polynomial's residues as one packed block between operations
+(:mod:`repro.fast.rns`). See ``docs/PERFORMANCE.md`` for
 the design and measured speedups.
 """
 

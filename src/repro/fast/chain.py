@@ -18,14 +18,17 @@ computes runs through :func:`run_chain`, whoever the caller is:
 The runner keeps intermediate values **resident** on the plan's
 kernel, which the modulus width picks (``FastNtt.mode``):
 
-* ``"gemm"`` (51–62 bits, :mod:`repro.fast.gemm`): registers hold
+* ``"gemm"`` (16–62 bits, :mod:`repro.fast.gemm`): registers hold
   ``uint64`` residues; a forward transform's spectrum stays in the
   kernel's ``(n1, batch, n2)`` layout and is gathered into natural or
   bit-reversed order only when the chain exposes it (its output, or a
   step other than a pointwise product or inverse transform reads it).
   A ``twist`` read only by forward transforms, and an inverse
   transform read only by ``untwist`` steps, fold into the transform's
-  tables, so each such pair runs as one transform;
+  tables, so each such pair runs as one transform. Two forward
+  transforms with the same tables whose operands are both ready (the
+  ``x`` and ``y`` transforms of a product) run as one ``(2B, n)`` pass,
+  split along the batch axis afterwards;
 * ``"r52"`` (every other width): registers stay in 52-bit limb-plane
   form across every step — one ``from_dw`` repack per input, one
   ``to_dw`` per output, rather than per primitive.
@@ -53,11 +56,13 @@ must leave its result in the register named ``"out"``.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import NttParameterError
+from repro.fast.limbs import limbs_from_words
 from repro.obs.hooks import count, engine_run_span
 
 if TYPE_CHECKING:  # annotations only: repro.ntt imports the step tuples
@@ -231,6 +236,7 @@ def run_chain(
     ntt: Optional[FastNtt],
     neg: Optional[FastNegacyclic] = None,
     blas: Optional[FastBlasPlan] = None,
+    words: bool = False,
 ) -> np.ndarray:
     """Execute a validated chain; returns the ``"out"`` register (dw form).
 
@@ -244,9 +250,17 @@ def run_chain(
     fully reduced canonical residues, which is what makes the fused
     result bit-identical to the faithful engine. Plans on the GEMM
     kernel run :func:`_run_gemm` instead.
+
+    With ``words=True`` the inputs and the result are ``(..., n)``
+    ``uint64`` residues of a modulus below ``2^64`` (the packed RNS
+    ring's layout): the GEMM kernel reads and returns them as they are,
+    the r52 runner wraps them into double words and back.
     """
     if ntt is not None and ntt._gemm is not None:
-        return _run_gemm(steps, inputs, ntt, neg, blas)
+        return _run_gemm(steps, inputs, ntt, neg, blas, words)
+    if words:
+        inputs = {name: limbs_from_words(arr) for name, arr in inputs.items()}
+        return run_chain(steps, inputs, ntt, neg, blas)[..., 0]
     r = ntt.mod.r52 if ntt is not None else None
     # Tagged register file: ("dw", (..., 2) array) or ("r52", planes).
     regs: Dict[str, tuple] = {
@@ -350,7 +364,56 @@ def _readers(steps: Sequence[dict]):
     return readers, writer.get(OUT_REGISTER)
 
 
-def _run_gemm(steps, inputs, ntt: FastNtt, neg, blas) -> np.ndarray:
+def _writer(steps: Sequence[dict], name: str, before: int) -> int:
+    """Index of the last step before ``before`` writing ``name`` (-1: an input)."""
+    for index in range(before - 1, -1, -1):
+        if steps[index]["dst"] == name:
+            return index
+    return -1
+
+
+def _forward_pairs(steps: Sequence[dict], folded: set) -> Dict[int, tuple]:
+    """Forward transforms the GEMM runner computes in one pass.
+
+    Maps a forward step ``i`` to ``(j, register)``: ``j`` is a
+    later forward step with the same tables (both read a folded twist,
+    or neither does) whose operand is already in ``register`` when ``i``
+    runs — ``j``'s own source, or the source of the folded twist feeding
+    ``j`` that has not run yet. Each step pairs at most once.
+    """
+    def operand(j: int, at: int):
+        src = steps[j]["src"]
+        writer = _writer(steps, src, j)
+        if writer < at:
+            return src, writer in folded
+        if writer in folded:
+            origin = steps[writer]["src"]
+            if _writer(steps, origin, writer) < at:
+                return origin, True
+        return None, False
+
+    forwards = [
+        index for index, step in enumerate(steps)
+        if step["kind"] == "ntt" and step["direction"] == "forward"
+    ]
+    pairs: Dict[int, tuple] = {}
+    taken: set = set()
+    for i in forwards:
+        if i in taken:
+            continue
+        _, twisted = operand(i, i)
+        for j in forwards:
+            if j <= i or j in taken:
+                continue
+            register, partner_twisted = operand(j, i)
+            if register is not None and partner_twisted == twisted:
+                pairs[i] = (j, register)
+                taken.update((i, j))
+                break
+    return pairs
+
+
+def _run_gemm(steps, inputs, ntt: FastNtt, neg, blas, words: bool = False) -> np.ndarray:
     """:func:`run_chain` on the GEMM kernel (see the module docstring)."""
     g = ntt._gemm
     n = ntt.n
@@ -361,10 +424,27 @@ def _run_gemm(steps, inputs, ntt: FastNtt, neg, blas) -> np.ndarray:
     # plans a FastNegacyclic builds).
     fold = tables is not None and pow(neg.psi, 2, q) == ntt.table.root
     readers, final = _readers(steps)
-    regs: Dict[str, _GemmReg] = {
-        name: _GemmReg(arr.shape[:-2], pub=arr[..., 0], dw=arr)
-        for name, arr in inputs.items()
+
+    def only(index: int, kind: str, key: str, value: str) -> bool:
+        return index != final and bool(readers[index]) and all(
+            r["kind"] == kind and r.get(key) == value for r in readers[index]
+        )
+
+    folded = {
+        index for index, step in enumerate(steps)
+        if fold and step["kind"] == "twist" and step["which"] == "twist"
+        and only(index, "ntt", "direction", "forward")
     }
+    pairs = _forward_pairs(steps, folded)
+    # Spectra computed by an earlier step's paired pass, by step index.
+    claimed: Dict[int, _GemmReg] = {}
+    if words:
+        regs = {name: _GemmReg(arr.shape[:-1], pub=arr) for name, arr in inputs.items()}
+    else:
+        regs = {
+            name: _GemmReg(arr.shape[:-2], pub=arr[..., 0], dw=arr)
+            for name, arr in inputs.items()
+        }
 
     def public(reg: _GemmReg) -> np.ndarray:
         if reg.pub is None:  # a spectrum: gather it into its public order
@@ -377,13 +457,12 @@ def _run_gemm(steps, inputs, ntt: FastNtt, neg, blas) -> np.ndarray:
             r["kind"] not in ("pointwise", "ntt") for r in readers[index]
         )
 
-    def only(index: int, kind: str, key: str, value: str) -> bool:
-        return index != final and bool(readers[index]) and all(
-            r["kind"] == kind and r.get(key) == value for r in readers[index]
-        )
+    def operand(reg: _GemmReg) -> np.ndarray:
+        """A forward transform's ``(B, n)`` input: a folded twist's operand or the value."""
+        return (reg.pending if reg.pending is not None else public(reg)).reshape(-1, n)
 
     def kernel(op: str, reg: _GemmReg):
-        elements = n * int(np.prod(reg.lead, dtype=np.int64))
+        elements = n * math.prod(reg.lead)
         count("engine.fast.gemm.calls.<op>", op)
         count("engine.fast.gemm.elements.<op>", op, amount=elements)
         return engine_run_span("fast", op, elements, mode="gemm")
@@ -395,11 +474,25 @@ def _run_gemm(steps, inputs, ntt: FastNtt, neg, blas) -> np.ndarray:
             src = regs[step["src"]]
             with kernel(f"ntt.{step['direction']}", src):
                 if step["direction"] == "forward":
-                    if src.pending is not None:  # a folded twist
-                        spec = g.forward(src.pending.reshape(-1, n), tables)
-                    else:
-                        spec = g.forward(public(src).reshape(-1, n), g.cyclic)
-                    reg = _GemmReg(src.lead, spec=spec, natural=natural)
+                    reg = claimed.pop(index, None)
+                    if reg is None:
+                        x = operand(src)
+                        # A folded twist leaves its operand pending.
+                        table = tables if src.pending is not None else g.cyclic
+                        pair = pairs.get(index)
+                        if pair is None:
+                            spec = g.forward(x, table)
+                        else:  # one (2B, n) pass, split along the batch axis
+                            j, register = pair
+                            partner = regs[register]
+                            spec = g.forward(np.concatenate((x, operand(partner))), table)
+                            rows = x.shape[0]
+                            claimed[j] = _GemmReg(
+                                partner.lead, spec=spec[:, rows:],
+                                natural=bool(steps[j].get("natural", False)),
+                            )
+                            spec = spec[:, :rows]
+                        reg = _GemmReg(src.lead, spec=spec, natural=natural)
                     if exposed(index):
                         public(reg)
                 else:
@@ -424,7 +517,7 @@ def _run_gemm(steps, inputs, ntt: FastNtt, neg, blas) -> np.ndarray:
                 if which == "untwist" and src.pending is not None:
                     pub = g.inverse(src.pending, tables)
                     reg = _GemmReg(src.lead, pub=pub.reshape(src.lead + (n,)))
-                elif which == "twist" and fold and only(index, "ntt", "direction", "forward"):
+                elif index in folded:
                     reg = _GemmReg(src.lead, pending=public(src))
                 else:
                     vector = tables.twist_vector(which == "untwist")
@@ -446,13 +539,12 @@ def _run_gemm(steps, inputs, ntt: FastNtt, neg, blas) -> np.ndarray:
                                _gemm_dw(regs[step["y"]], public))
             reg = _GemmReg(result.shape[:-2], pub=result[..., 0], dw=result)
         regs[step["dst"]] = reg
-    return _gemm_dw(regs[OUT_REGISTER], public)
+    out = regs[OUT_REGISTER]
+    return public(out) if words else _gemm_dw(out, public)
 
 
 def _gemm_dw(reg: _GemmReg, public) -> np.ndarray:
     """A GEMM register's ``(..., n, 2)`` double-word form."""
     if reg.dw is None:
-        pub = public(reg)
-        reg.dw = np.zeros(pub.shape + (2,), dtype=np.uint64)
-        reg.dw[..., 0] = pub
+        reg.dw = limbs_from_words(public(reg))
     return reg.dw

@@ -1,7 +1,7 @@
-"""The NTT as limb-split float64 GEMMs — the fast engine's 51–62-bit kernel.
+"""The NTT as limb-split float64 GEMMs — the fast engine's 16–62-bit kernel.
 
 The host's widest multiplier is the BLAS ``dgemm``, not an element-wise
-``uint64`` pass. For moduli of 51 to 62 bits :class:`GemmNtt` runs each
+``uint64`` pass. For moduli of 16 to 62 bits :class:`GemmNtt` runs each
 transform as two matrix products (the four-step split ``n = n1 * n2``)
 on ``w``-bit limbs, with the reduction after each product done by a
 float-quotient ``mulmod`` — the same trade FHECore makes on tensor cores
@@ -45,7 +45,7 @@ Float-quotient mulmod
     float precision.
 
 Routing (:func:`gemm_split`)
-    GEMM serves ``51 <= beta <= 62`` when the sums stay below
+    GEMM serves ``16 <= beta <= 62`` when the sums stay below
     ``2^50`` (``2w + ceil(log2(L*max(n1, n2))) <= 50``: exact in float64
     with the three bits the quotient needs) and the tables of one
     direction pair fit :data:`GEMM_TABLE_BUDGET`. Everything else runs
@@ -74,11 +74,13 @@ from repro.obs.hooks import count
 #: Limbs per residue: ``w * L >= beta`` with ``w <= 21``.
 GEMM_LIMBS = 3
 
-#: Modulus widths (``q.bit_length()``) the GEMM kernel serves. Widths of
-#: 50 bits and below stay on r52's one-limb stage loop (the GEMM is also
-#: faster there, see docs/PERFORMANCE.md); above 62 bits three limbs no
-#: longer fit the 50-bit sum bound.
-GEMM_MIN_BETA = 51
+#: Modulus widths (``q.bit_length()``) the GEMM kernel serves. The
+#: ``bench_fast`` duel against r52's one-limb stage loop (negacyclic
+#: n = 4096 product) reads GEMM ahead at every width it can run at, down
+#: to 16 bits, the narrowest prime with ``8192 | q - 1``; narrower moduli
+#: stay on r52. Above 62 bits three limbs no longer fit the 50-bit sum
+#: bound.
+GEMM_MIN_BETA = 16
 GEMM_MAX_BETA = 62
 
 #: Bound on ``log2`` of a dgemm output entry: sums are exact in float64
@@ -118,7 +120,7 @@ def gemm_split(n: int, beta: int) -> Optional[Tuple[int, int, int]]:
     """``(n1, n2, w)`` for an ``n``-point transform at ``beta`` bits, or ``None``.
 
     ``None`` routes the plan to the r52 stage loop: the width is outside
-    51–62 bits, the sums would exceed :data:`GEMM_SUM_BITS`, or the tables
+    16–62 bits, the sums would exceed :data:`GEMM_SUM_BITS`, or the tables
     would exceed :data:`GEMM_TABLE_BUDGET`.
     """
     if not GEMM_MIN_BETA <= beta <= GEMM_MAX_BETA or n < 2:
@@ -240,7 +242,7 @@ def _fold(r: np.ndarray, q: _U64) -> np.ndarray:
 
 
 class GemmModulus:
-    """Float-quotient ``mulmod`` for one modulus of 51–62 bits."""
+    """Float-quotient ``mulmod`` for one modulus of 16–62 bits."""
 
     def __init__(self, q: int, w: int) -> None:
         self.q = q

@@ -61,6 +61,11 @@ def limbs_from_ints(values: IntVector) -> np.ndarray:
         return _pack_flat([values]).reshape(2)
     values = list(values)
     if values and not isinstance(values[0], int):
+        if not all(isinstance(row, (list, tuple, np.ndarray)) for row in values):
+            raise ArithmeticDomainError(
+                "values must be ints in [0, 2^128) or rows of them; got "
+                f"{type(values[0]).__name__} {values[0]!r} first"
+            )
         rows = [_pack_flat(list(row)) for row in values]
         width = rows[0].shape[0]
         for row in rows:
@@ -84,6 +89,13 @@ def _pack_flat(values: List[int]) -> np.ndarray:
         if values
         else np.empty((0, 2), dtype=LIMB_DTYPE)
     )
+
+
+def limbs_from_words(words: np.ndarray) -> np.ndarray:
+    """``(...)`` one-word ``uint64`` values as a ``(..., 2)`` limb array."""
+    arr = np.zeros(words.shape + (2,), dtype=LIMB_DTYPE)
+    arr[..., 0] = words
+    return arr
 
 
 def limbs_to_ints(limbs: np.ndarray) -> Union[int, List[int], List[List[int]]]:

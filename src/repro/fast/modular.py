@@ -16,6 +16,7 @@ backends for any modulus up to 124 bits.
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
 from typing import Optional, Tuple, Union
 
@@ -30,6 +31,7 @@ from repro.fast.limbs import (
     add128_nocarry,
     geq128,
     limbs_from_ints,
+    limbs_from_words,
     limbs_to_ints,
     mullo128,
     r52_join,
@@ -53,26 +55,46 @@ _MODULUS_LOCK = threading.Lock()
 DEFAULT_CACHE_CAPACITY = 64
 
 
-#: Moduli below this bound take the one-call ``np.array`` packing path of
-#: :meth:`FastModulus.to_limbs`: every reduced residue is an ``int64``.
+#: Moduli below this bound take the narrow packing path of
+#: :meth:`FastModulus.to_limbs`: every reduced residue fits one word.
 _NARROW_BOUND = 1 << 63
 
 
-def _pack_narrow(values: IntVector) -> Optional[np.ndarray]:
-    """Python ints below ``2^63`` as a limb array, or ``None`` if not all are."""
-    if isinstance(values, np.ndarray):
+def pack_words(values: IntVector) -> Optional[np.ndarray]:
+    """Python ints in ``[0, 2^64)`` as a ``uint64`` array, or ``None``.
+
+    A flat sequence gives ``(n,)``, a sequence of equal-length rows
+    ``(rows, n)``. The rows fill one ``array('Q')`` (``fromlist`` for
+    lists), which accepts only integers (bools included) and raises on
+    anything else, so floats, ``np.float64`` elements, numeric strings,
+    negatives, values of ``2^64`` and up, ragged rows and deeper nesting
+    all give ``None``. ``np.array(..., dtype=np.int64)`` and
+    ``np.fromiter`` would convert ``1.5`` and ``"3"`` instead.
+    """
+    if not isinstance(values, (list, tuple)):
         return None
+    nested = bool(values) and not isinstance(values[0], int)
+    rows = values if nested else (values,)
+    buf = array("Q")
     try:
-        words = np.array(values)
-    except (ValueError, OverflowError, TypeError):
+        width = len(rows[0]) if rows else 0
+        for row in rows:
+            if len(row) != width:
+                return None
+            if isinstance(row, list):
+                buf.fromlist(row)
+            else:
+                buf.extend(row)
+    except (TypeError, OverflowError):
         return None
-    if words.dtype != np.int64 or words.ndim > 2 or (
-        words.size and words.min() < 0
-    ):
-        return None
-    arr = np.zeros(words.shape + (2,), dtype=LIMB_DTYPE)
-    arr[..., 0] = words
-    return arr
+    words = np.frombuffer(buf, dtype=LIMB_DTYPE) if buf else np.empty(0, dtype=LIMB_DTYPE)
+    return words.reshape(len(rows), width) if nested else words
+
+
+def _pack_narrow(values: IntVector) -> Optional[np.ndarray]:
+    """Python ints below ``2^64`` as a limb array, or ``None`` if not all are."""
+    words = pack_words(values)
+    return None if words is None else limbs_from_words(words)
 
 
 class FastModulus:
@@ -159,11 +181,11 @@ class FastModulus:
         """Pack and range-check operands: every element must be in [0, q).
 
         Limb arrays pass through unchanged (after the range check). For a
-        one-word modulus (``q < 2^63``) Python ints pack in one
-        ``np.array`` call instead of one ``to_bytes`` per element; any
-        input that call does not turn into non-negative ``int64`` words
-        (negatives, floats, bools alone, ragged rows, values of ``2^63``
-        and up) takes the general path and fails exactly as it does there.
+        one-word modulus (``q < 2^63``) Python ints pack one
+        ``array('Q', row)`` per row (:func:`pack_words`) instead of one
+        ``to_bytes`` per element; any input that packing rejects (floats,
+        strings, negatives, ragged rows, values of ``2^64`` and up) takes
+        the general path and fails exactly as it does there.
         """
         arr = _pack_narrow(values) if self.q < _NARROW_BOUND else None
         if arr is None:

@@ -4,7 +4,7 @@ Where :class:`repro.ntt.simd.SimdNtt` walks each stage one SIMD block at
 a time through an ISA simulator, :class:`FastNtt` runs the *same*
 constant-geometry dataflow — read ``x[i]`` and ``x[i + n/2]``, butterfly,
 write the pair to ``2i``/``2i + 1`` — on entire ``(n,)`` vectors at
-once. The kernel is chosen by the modulus width: 51–62-bit moduli run
+once. The kernel is chosen by the modulus width: 16–62-bit moduli run
 each transform as two limb-split float64 GEMMs
 (:class:`~repro.fast.gemm.GemmNtt`, twiddles, twists and ``1/n`` folded
 into its tables); every other width runs the 52-bit redundant-limb
@@ -61,7 +61,7 @@ class FastNtt:
 
     Transforms and the fused chains built on them run on the GEMM
     kernel where :func:`~repro.fast.gemm.gemm_split` accepts ``(n,
-    beta)`` (:attr:`mode` ``"gemm"``: 51–62 bits, n <= 4096) and on the
+    beta)`` (:attr:`mode` ``"gemm"``: 16–62 bits, n <= 4096) and on the
     r52 substrate otherwise (:attr:`mode` ``"r52"``): a Shoup twiddle
     product stays cheaper than a double-word product at every width
     through 124 bits. Only the chosen kernel's tables are ever built.
@@ -153,23 +153,29 @@ class FastNtt:
             out = mod.mulmod(fa, ga)
         return limbs_to_ints(out) if as_ints else out
 
-    def cyclic_multiply(self, f: IntMatrix, g: IntMatrix) -> IntMatrix:
+    def cyclic_multiply(self, f: IntMatrix, g: IntMatrix, *, words: bool = False) -> IntMatrix:
         """Length-``n`` cyclic convolution via the transform.
 
         Runs :data:`~repro.fast.chain.CYCLIC_MUL_STEPS` as one fused
-        chain: the operands are packed once and stay in r52 limb-plane
-        form from the first transform to the last.
+        chain: the operands are packed once and stay resident on the
+        plan's kernel from the first transform to the last. ``words``
+        as for :meth:`FastNegacyclic.multiply`.
         """
-        return self._fused(CYCLIC_MUL_STEPS, f, g)
+        return self._fused(CYCLIC_MUL_STEPS, f, g, words=words)
 
-    def _fused(self, steps, *operands: IntMatrix, neg=None) -> IntMatrix:
+    def _fused(self, steps, *operands: IntMatrix, neg=None, words: bool = False) -> IntMatrix:
         """Run a chain with ``operands`` bound to ``x``, ``y``, ``z``.
 
-        Ints in, ints out; limb arrays in, limb arrays out.
+        Ints in, ints out; limb arrays in, limb arrays out. ``words=True``
+        takes and returns ``(..., n)`` ``uint64`` residues the caller has
+        already range-checked (see :func:`~repro.fast.chain.run_chain`).
         """
+        blas = self._blas if any(s["kind"] == "blas" for s in steps) else None
+        if words:
+            regs = dict(zip(("x", "y", "z"), operands))
+            return run_chain(steps, regs, self, neg=neg, blas=blas, words=True)
         coerced = [self._coerce(values) for values in operands]
         regs = {name: arr for name, (arr, _) in zip(("x", "y", "z"), coerced)}
-        blas = self._blas if any(s["kind"] == "blas" for s in steps) else None
         out = run_chain(steps, regs, self, neg=neg, blas=blas)
         return limbs_to_ints(out) if coerced[0][1] else out
 
@@ -248,15 +254,19 @@ class FastNegacyclic:
         """Inverse of :meth:`forward` (untwist and ``1/n`` included)."""
         return self.plan._fused(NEGACYCLIC_INVERSE_STEPS, values, neg=self)
 
-    def multiply(self, f: IntMatrix, g: IntMatrix) -> IntMatrix:
+    def multiply(self, f: IntMatrix, g: IntMatrix, *, words: bool = False) -> IntMatrix:
         """Negacyclic product ``f * g mod (x^n + 1, q)`` (batched-aware).
 
         One fused :data:`~repro.fast.chain.NEGACYCLIC_MUL_STEPS` chain:
         twist, transforms, pointwise product and untwist all run on the
         resident substrate between a single pack and a single unpack.
+        With ``words=True`` the operands and the product are ``(..., n)``
+        ``uint64`` residues, already range-checked (the packed RNS ring's
+        rows): no pack, no check, and on the GEMM kernel no double-word
+        wrap either.
         """
         with engine_run_span("fast", "ntt.polymul", self.n, mode=self.mode):
-            return self.plan._fused(NEGACYCLIC_MUL_STEPS, f, g, neg=self)
+            return self.plan._fused(NEGACYCLIC_MUL_STEPS, f, g, neg=self, words=words)
 
     def multiply_add(self, f: IntMatrix, g: IntMatrix, acc: IntMatrix) -> IntMatrix:
         """Fused ``f * g + acc mod (x^n + 1, q)`` (batched-aware).

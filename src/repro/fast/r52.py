@@ -472,7 +472,7 @@ class R52Ntt:
     """Constant-geometry NTT stages on the r52 substrate, Harvey-lazy.
 
     The stage loop of :class:`repro.fast.ntt.FastNtt` outside the GEMM
-    kernel's 51–62-bit range: the Pease
+    kernel's 16–62-bit range: the Pease
     dataflow of the faithful :class:`repro.ntt.simd.SimdNtt` (same
     :class:`~repro.ntt.twiddles.TwiddleTable`, bit-identical results),
     with butterfly values kept in ``[0, 4q)`` between stages as 52-bit

@@ -74,9 +74,9 @@ CATALOG: Tuple[Metric, ...] = (
     Metric("engine.fast.r52.calls.<op>", C, "call", "fast-engine calls served by the 52-bit-limb substrate"),
     Metric("engine.fast.r52.elements.<op>", C, "element", "elements those r52 calls processed"),
     Metric("engine.fast.r52.carry_flushes", C, "pass", "r52 carry normalizations: one per NTT stage plus one final reduction"),
-    Metric("engine.fast.gemm.calls.<op>", C, "call", "fast-engine chain steps served by the limb-split GEMM kernel (51-62-bit moduli)"),
+    Metric("engine.fast.gemm.calls.<op>", C, "call", "fast-engine chain steps served by the limb-split GEMM kernel (16-62-bit moduli)"),
     Metric("engine.fast.gemm.elements.<op>", C, "element", "elements those GEMM steps processed"),
-    Metric("engine.fast.gemm.dgemms", C, "call", "float64 dgemm calls the GEMM kernel made (two per transform)"),
+    Metric("engine.fast.gemm.dgemms", C, "call", "float64 dgemm calls the GEMM kernel made (two per pass; paired forward transforms share one pass)"),
     Metric("fastmod.evictions", C, "entry", "`FastModulus` instances evicted from the bounded cache"),
     Metric("twiddle.evictions", C, "entry", "twiddle tables evicted from the bounded cache"),
     # Process pool (repro.par).

@@ -206,7 +206,10 @@ def execute_spec(spec: dict, in_worker: bool = False) -> None:
                 name: _slice(view_of(name), bounds, copy=not in_worker)
                 for name in spec["inputs"]
             }
-        with span("par.worker.compute", op=op, steps=len(steps)):
+        # The in-process fallback records this span on the parent, where
+        # it carries no worker correlation ids; the marker says so.
+        side = {} if in_worker else {"side": "parent"}
+        with span("par.worker.compute", op=op, steps=len(steps), **side):
             # BLAS chains carry no transform plan and run on the flat
             # element axis; everything else stays resident on the
             # plan's transform kernel (GEMM or r52) across its steps.

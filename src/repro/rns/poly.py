@@ -10,7 +10,9 @@ paper accelerates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.blas.ops import BlasPlan
 from repro.errors import ArithmeticDomainError, NttParameterError
@@ -20,13 +22,39 @@ from repro.ntt.simd import SimdNtt
 from repro.rns.basis import RnsBasis
 from repro.util.checks import check_power_of_two
 
+if TYPE_CHECKING:
+    from repro.fast.rns import FastRns
+
 
 class RnsPolynomial:
-    """A degree < n polynomial over ``Z_Q`` in per-prime residue form."""
+    """A degree < n polynomial over ``Z_Q`` in per-prime residue form.
 
-    def __init__(self, ring: "RnsPolynomialRing", residues: List[List[int]]) -> None:
+    ``residues[i]`` holds the coefficients modulo ``primes[i]``. On a
+    ring with ``engine="fast"`` the polynomial also carries its residues
+    packed as one ``uint64`` block (:class:`repro.fast.rns.FastRns`): a
+    list-built polynomial is packed on its first ring operation and
+    keeps that block, and a ring result carries only its block, building
+    :attr:`residues` on first read. Treat residue lists as immutable
+    once a polynomial is in use.
+    """
+
+    def __init__(self, ring: "RnsPolynomialRing", residues: Optional[List[List[int]]]) -> None:
         self.ring = ring
-        self.residues = residues  # residues[i] = coefficients mod primes[i]
+        self._residues = residues
+        self._block: Optional[np.ndarray] = None
+
+    @classmethod
+    def _packed(cls, ring: "RnsPolynomialRing", block: np.ndarray) -> "RnsPolynomial":
+        poly = cls(ring, None)
+        poly._block = block
+        return poly
+
+    @property
+    def residues(self) -> List[List[int]]:
+        """Per-prime coefficient lists (built from the packed block on first read)."""
+        if self._residues is None:
+            self._residues = self.ring._fast.unpack(self._block)
+        return self._residues
 
     def coefficients(self) -> List[int]:
         """CRT-reconstruct the big-integer coefficient vector."""
@@ -40,7 +68,11 @@ class RnsPolynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RnsPolynomial):
             return NotImplemented
-        return self.ring is other.ring and self.residues == other.residues
+        if self.ring is not other.ring:
+            return False
+        if self._block is not None and other._block is not None:
+            return bool(np.array_equal(self._block, other._block))
+        return self.residues == other.residues
 
     def __repr__(self) -> str:
         return f"RnsPolynomial(n={self.ring.n}, limbs={len(self.ring.basis)})"
@@ -101,6 +133,18 @@ class RnsPolynomialRing:
                 self._ntt[q] = NegacyclicNtt(n, q, backend, engine=engine)
             else:
                 self._ntt[q] = SimdNtt(n, q, backend, engine=engine)
+        #: The fast engine's packed-block twin (``None`` on the others).
+        self._fast: Optional[FastRns] = None
+        if engine == "fast":
+            from repro.fast.rns import FastRns
+
+            self._fast = FastRns(
+                n,
+                basis.primes,
+                [self._ntt[q].fast_plan for q in basis.primes],
+                [self._blas[q].fast_plan for q in basis.primes],
+                negacyclic,
+            )
 
     # ------------------------------------------------------------------
     # Encoding
@@ -144,9 +188,24 @@ class RnsPolynomialRing:
                     "polynomial belongs to a different ring"
                 )
 
+    def _packed_block(self, poly: RnsPolynomial, name: str) -> np.ndarray:
+        """``poly``'s packed residue block, packed (and kept) on first use."""
+        if poly._block is None:
+            poly._block = self._fast.pack(poly._residues, name)
+        return poly._block
+
+    def _fast_op(self, op: str, *polys: RnsPolynomial) -> RnsPolynomial:
+        blocks = [self._packed_block(poly, name) for poly, name in zip(polys, ("x", "y"))]
+        return RnsPolynomial._packed(self, getattr(self._fast, op)(*blocks))
+
     def add(self, f: RnsPolynomial, g: RnsPolynomial) -> RnsPolynomial:
-        """``f + g``: one BLAS vector addition per prime."""
+        """``f + g``: one BLAS vector addition per prime.
+
+        On the fast engine: one modular pass over the packed block.
+        """
         self._check_membership(f, g)
+        if self._fast is not None:
+            return self._fast_op("add", f, g)
         residues = [
             self._blas[q].vector_add(fr, gr)
             for q, fr, gr in zip(self.basis.primes, f.residues, g.residues)
@@ -154,8 +213,10 @@ class RnsPolynomialRing:
         return RnsPolynomial(self, residues)
 
     def sub(self, f: RnsPolynomial, g: RnsPolynomial) -> RnsPolynomial:
-        """``f - g``: one BLAS vector subtraction per prime."""
+        """``f - g``: one BLAS vector subtraction per prime (fast: one pass)."""
         self._check_membership(f, g)
+        if self._fast is not None:
+            return self._fast_op("sub", f, g)
         residues = [
             self._blas[q].vector_sub(fr, gr)
             for q, fr, gr in zip(self.basis.primes, f.residues, g.residues)
@@ -165,6 +226,9 @@ class RnsPolynomialRing:
     def scalar_mul(self, a: int, f: RnsPolynomial) -> RnsPolynomial:
         """``a * f`` for a big-integer scalar ``a``: per-prime axpy."""
         self._check_membership(f)
+        if self._fast is not None:
+            block = self._fast.scalar_mul(a, self._packed_block(f, "x"))
+            return RnsPolynomial._packed(self, block)
         residues = []
         for q, fr in zip(self.basis.primes, f.residues):
             zeros = [0] * self.n
@@ -178,9 +242,13 @@ class RnsPolynomialRing:
         psi-twisted transform); cyclic rings compute the length-``n``
         cyclic convolution. With ``engine="parallel"`` all residue
         channels are dispatched to the worker pool as one fused batch
-        instead of this sequential per-prime loop.
+        instead of this sequential per-prime loop. With ``engine="fast"``
+        the loop runs on the packed blocks, and each prime's two forward
+        transforms share one GEMM pass where the kernel serves it.
         """
         self._check_membership(f, g)
+        if self._fast is not None:
+            return self._fast_op("mul", f, g)
         if self.engine == "parallel":
             from repro.par.api import parallel_rns_mul
 

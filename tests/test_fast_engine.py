@@ -106,11 +106,13 @@ class TestLimbPrimitives:
             [[0, 1], [(1 << 63) - 1, 2]],
             [[1, 2], [3]],
             [[1, 2, 3], [4, 5]],
+            [1, "3"],
+            [[0, 1], [np.float64(2.0), 3]],
         ],
         ids=[
             "negative", "negative-batched", "floats", "mixed-float",
             "two-pow-63", "above-2-pow-64", "equal-q", "below-2-pow-63",
-            "ragged-short", "ragged-long",
+            "ragged-short", "ragged-long", "numeric-string", "np-float64",
         ],
     )
     def test_narrow_pack_rejects_like_general_path(self, values):

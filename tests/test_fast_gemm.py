@@ -71,7 +71,7 @@ def _negacyclic_reference(f, g, q):
 
 
 class TestRouting:
-    @pytest.mark.parametrize("bits", range(51, 63))
+    @pytest.mark.parametrize("bits", range(gemm.GEMM_MIN_BETA, 63))
     def test_every_size_to_4096_routes_to_gemm(self, bits):
         for n in SIZES:
             split = gemm_split(n, bits)
@@ -81,7 +81,7 @@ class TestRouting:
             assert 2 * w + math.ceil(math.log2(GEMM_LIMBS * max(n1, n2))) <= GEMM_SUM_BITS
             assert table_bytes(n1, n2) <= GEMM_TABLE_BUDGET
 
-    @pytest.mark.parametrize("bits", (32, 50, 63, 100, 124))
+    @pytest.mark.parametrize("bits", (15, 63, 100, 124))
     def test_other_widths_route_to_r52(self, bits):
         q = _prime(bits, 64)
         assert gemm_split(64, bits) is None
@@ -413,3 +413,140 @@ class TestTwiddleIndexing:
     def test_bit_reverse_indices(self, n):
         bits = n.bit_length() - 1
         assert bit_reverse_indices(n).tolist() == [bit_reverse(i, bits) for i in range(n)]
+
+
+class TestPairedForward:
+    """Sibling forward transforms share one ``(2B, n)`` GEMM pass."""
+
+    def test_pairs_of_the_canonical_products(self):
+        from repro.fast.chain import CYCLIC_MUL_STEPS, NEGACYCLIC_MUL_STEPS, _forward_pairs
+
+        # The two folded twists (steps 0 and 2) feed forwards 1 and 3.
+        assert _forward_pairs(NEGACYCLIC_MUL_STEPS, {0, 2}) == {1: (3, "y")}
+        assert _forward_pairs(CYCLIC_MUL_STEPS, set()) == {0: (1, "y")}
+        # An unfolded twist of y runs after the forward of x: not ready.
+        assert _forward_pairs(NEGACYCLIC_MUL_STEPS, set()) == {}
+
+    def test_tables_must_match(self):
+        from repro.fast.chain import _forward_pairs
+
+        steps = (
+            {"kind": "twist", "which": "twist", "src": "x", "dst": "xt"},
+            {"kind": "ntt", "direction": "forward", "natural": False, "src": "xt", "dst": "fa"},
+            {"kind": "ntt", "direction": "forward", "natural": False, "src": "y", "dst": "ga"},
+            {"kind": "pointwise", "a": "fa", "b": "ga", "dst": "out"},
+        )
+        assert _forward_pairs(steps, {0}) == {}
+        assert _forward_pairs(steps, set()) == {1: (2, "y")}
+
+    @pytest.mark.parametrize("batch", (1, 3))
+    def test_split_spectra_equal_one_row_forwards(self, batch):
+        from repro.fast.chain import run_chain
+        from repro.obs import observing
+
+        n, q = 4096, _prime(60, 4096)
+        neg = FastNegacyclic(n, q)
+        rng = np.random.default_rng(batch)
+        x, y = (rng.integers(0, q, size=(batch, n), dtype=np.uint64) for _ in range(2))
+        # Both spectra exposed, in opposite orders: a swapped or shifted
+        # split changes the difference.
+        steps = (
+            {"kind": "twist", "which": "twist", "src": "x", "dst": "xt"},
+            {"kind": "ntt", "direction": "forward", "natural": True, "src": "xt", "dst": "fa"},
+            {"kind": "twist", "which": "twist", "src": "y", "dst": "yt"},
+            {"kind": "ntt", "direction": "forward", "natural": False, "src": "yt", "dst": "ga"},
+            {"kind": "blas", "blas_op": "vector_sub", "x": "fa", "y": "ga", "dst": "out"},
+        )
+        got = run_chain(steps, {"x": x, "y": y}, neg.plan, neg=neg, blas=neg.plan._blas, words=True)
+        bitrev = neg.plan._bitrev
+        for row in range(batch):
+            fa = np.array(neg.forward([x[row].tolist()])[0], dtype=np.uint64)[np.argsort(bitrev)]
+            ga = np.array(neg.forward([y[row].tolist()])[0], dtype=np.uint64)
+            assert (got[row] == (fa + q - ga) % q).all()
+        # One kernel call per chain step, as before; the pair is one pass.
+        with observing() as session:
+            neg.multiply(x, y, words=True)
+        def value(name):
+            return session.metrics.counter(name).value
+
+        calls = {
+            op: value(f"engine.fast.gemm.calls.{op}")
+            for op in ("ntt.twist", "ntt.forward", "ntt.pointwise", "ntt.inverse", "ntt.untwist")
+        }
+        assert calls == {"ntt.twist": 2, "ntt.forward": 2, "ntt.pointwise": 1,
+                         "ntt.inverse": 1, "ntt.untwist": 1}
+        assert value("engine.fast.gemm.elements.ntt.forward") == 2 * batch * n
+        # Two dgemms per pass; passes run in chunks of GEMM_CHUNK_ELEMENTS.
+        step = gemm.GEMM_CHUNK_ELEMENTS // n
+        assert value("engine.fast.gemm.dgemms") == 2 * (-(-2 * batch // step) + -(-batch // step))
+
+
+#: The GEMM range's lower edge and the width below it.
+EDGE_WIDTHS = (gemm.GEMM_MIN_BETA, gemm.GEMM_MIN_BETA - 1)
+
+
+def _forced_gemm(plan: FastNtt) -> FastNtt:
+    """``plan`` on the GEMM kernel whatever its width (the router's split shape)."""
+    log_n = plan.n.bit_length() - 1
+    n1 = 1 << ((log_n + 1) // 2)
+    split = (n1, plan.n // n1, -(-plan.q.bit_length() // GEMM_LIMBS))
+    plan._gemm = GemmNtt(plan.n, plan.q, plan.table.root, split)
+    plan.mode = "gemm"
+    return plan
+
+
+class TestLowerEdge:
+    """Bit-exact and within the float-quotient bound at the routing edge
+    and one bit below it, so the edge is a speed choice."""
+
+    def test_routing_edge(self):
+        low, below = EDGE_WIDTHS
+        assert gemm_split(4096, low) is not None
+        assert gemm_split(1024, below) is None
+        assert FastNtt(1024, _prime(below, 1024)).mode == "r52"
+
+    @pytest.mark.parametrize("bits", EDGE_WIDTHS)
+    def test_bit_exact_against_r52(self, bits):
+        rng = random.Random(bits)
+        for n in (2, 16, 256, 1024):
+            q = _prime(bits, n)
+            assert q.bit_length() == bits
+            neg = FastNegacyclic(n, q)
+            if neg.mode != "gemm":
+                _forced_gemm(neg.plan)
+                neg.mode = "gemm"
+            ref = _r52_twin(neg.plan)
+            ref_neg = FastNegacyclic(n, q, psi=neg.psi, plan=ref)
+            rows = _operands(q, n, 3, rng)
+            other = _operands(q, n, 3, rng)[::-1]
+            for natural in (True, False):
+                assert neg.plan.forward(rows, natural_order=natural) == ref.forward(rows, natural_order=natural)
+            assert neg.plan.cyclic_multiply(rows, other) == ref.cyclic_multiply(rows, other)
+            assert neg.multiply(rows, other) == ref_neg.multiply(rows, other) == [
+                _negacyclic_reference(f, g, q) for f, g in zip(rows, other)
+            ]
+
+    @pytest.mark.parametrize("bits", EDGE_WIDTHS)
+    def test_float_quotient_reduce_exhaustive_in_c(self, bits):
+        """Every constant ``c < q`` against the smallest and the largest
+        sums the kernel can form at this width (n = 4096's split)."""
+        q = _prime(bits, 1024)
+        w = -(-bits // GEMM_LIMBS)
+        top = 1 << gemm._sum_bits(w, 64, 64)
+        mod = gemm.GemmModulus(q, w)
+        sums = np.concatenate([np.arange(256), np.arange(top - 256, top)])
+        R = np.repeat(sums.astype(np.float64)[:, None], 4096, axis=1)
+        for start in range(0, q, 4096):
+            c = np.arange(start, min(start + 4096, q), dtype=np.uint64)[None, :]
+            cf = c.astype(np.float64) / float(q)
+            rows = R[:, : c.shape[1]]
+            got = mod.reduce_terms([(rows, c, cf)])
+            assert (got == (rows.astype(np.uint64) * c) % np.uint64(q)).all()
+
+    @pytest.mark.parametrize("bits", EDGE_WIDTHS)
+    def test_mulmod_exhaustive_in_a(self, bits):
+        q = _prime(bits, 1024)
+        mod = gemm.GemmModulus(q, -(-bits // GEMM_LIMBS))
+        a = np.arange(q, dtype=np.uint64)
+        for b in (0, 1, 2, q // 2, q - 2, q - 1):
+            assert (mod.mulmod(a, b) == (a * np.uint64(b)) % np.uint64(q)).all()

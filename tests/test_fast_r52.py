@@ -161,7 +161,7 @@ class TestNttModes:
         g = [rng.randrange(q) for _ in range(n)]
         dw, dw_neg = _faithful_plans(n, q)
         r52 = FastNtt(n, q, table=dw.table)
-        # 51-62-bit moduli route to the GEMM kernel, wider ones to r52.
+        # 16-62-bit moduli route to the GEMM kernel, wider ones to r52.
         assert r52.mode == ("gemm" if bits <= 62 else "r52")
         assert r52.forward(f) == dw.forward(f)
         assert r52.inverse(r52.forward(f)) == f

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arith.primes import find_ntt_prime
 from repro.errors import ArithmeticDomainError, NttParameterError
 from repro.kernels import get_backend
 from repro.ntt.reference import negacyclic_schoolbook_polymul
 from repro.rns.basis import RnsBasis
-from repro.rns.poly import RnsPolynomialRing
+from repro.rns.poly import RnsPolynomial, RnsPolynomialRing
 
 N = 16
 ORDER = 2 * N
@@ -164,3 +165,103 @@ class TestBackendsAgree:
             out = ring.mul(ring.encode(fc), ring.encode(gc))
             results.append(out.coefficients())
         assert all(r == results[0] for r in results)
+
+
+#: Packed-ring bases: each mixes GEMM-routed primes (40 and 60 bits)
+#: with an r52-routed one (14 bits, below the GEMM range; 70 bits,
+#: above it). "narrow" packs one word per residue, "wide" two.
+PACKED_BASES = {"narrow": (60, 40, 14), "wide": (60, 14, 70)}
+
+
+@pytest.fixture(scope="module", params=sorted(PACKED_BASES))
+def ring_pair(request):
+    primes = [find_ntt_prime(bits, ORDER) for bits in PACKED_BASES[request.param]]
+    basis = RnsBasis(primes)
+    backend = get_backend("avx512")
+    fast = RnsPolynomialRing(N, basis, backend, engine="fast")
+    modes = {fast._ntt[q].fast_plan.mode for q in primes}
+    assert modes == {"gemm", "r52"}
+    assert fast._fast.wide == (request.param == "wide")
+    return fast, RnsPolynomialRing(N, basis, backend)
+
+
+def _rows(ring, rng):
+    return [[rng.randrange(q) for _ in range(N)] for q in ring.basis.primes]
+
+
+class TestFastPackedRing:
+    """The fast ring's packed blocks against the faithful ring's lists."""
+
+    def test_ops_and_chains_match_faithful(self, ring_pair):
+        fast, faithful = ring_pair
+        rng = random.Random(24)
+        a, b, c = (_rows(fast, rng) for _ in range(3))
+        scalar = rng.randrange(fast.basis.modulus)
+
+        def run(ring):
+            f, g, h = (RnsPolynomial(ring, rows) for rows in (a, b, c))
+            prod = ring.mul(f, g)  # lists in
+            mac = ring.add(prod, h)  # packed and list operands mixed
+            diff = ring.sub(h, mac)
+            scaled = ring.scalar_mul(scalar, diff)
+            chain = ring.mul(scaled, ring.sub(mac, prod))  # packed only
+            return [p.residues for p in (prod, mac, diff, scaled, chain)]
+
+        assert run(fast) == run(faithful)
+
+    def test_results_stay_packed_until_read(self, ring_pair):
+        fast, _ = ring_pair
+        rng = random.Random(25)
+        f, g = (RnsPolynomial(fast, _rows(fast, rng)) for _ in range(2))
+        out = fast.add(fast.mul(f, g), f)
+        assert f._block is not None  # each list operand is packed once
+        assert out._residues is None and out._block is not None
+        rows = out.residues
+        assert out._residues is rows
+        assert all(type(v) is int for row in rows for v in row)
+
+    def test_equality(self, ring_pair):
+        fast, _ = ring_pair
+        rng = random.Random(26)
+        rows = _rows(fast, rng)
+        f = RnsPolynomial(fast, rows)
+        zero = fast.zero()
+        same = fast.add(f, zero)
+        assert same == RnsPolynomial(fast, rows)  # packed vs lists
+        assert same == fast.sub(fast.add(f, f), f)  # packed vs packed
+        assert same != fast.add(f, f)
+        assert fast.mul(f, fast.one()) == f
+
+    def test_bad_operands_raise_domain_errors(self, ring_pair):
+        fast, _ = ring_pair
+        rng = random.Random(27)
+        good = RnsPolynomial(fast, _rows(fast, rng))
+        primes = fast.basis.primes
+
+        def bad(row, value):
+            rows = _rows(fast, rng)
+            rows[row][3] = value
+            return rows
+
+        cases = {
+            "unreduced": bad(1, primes[1]),
+            "float": bad(0, 1.0),
+            "short": [r[:-1] if i == 2 else r for i, r in enumerate(_rows(fast, rng))],
+            "missing row": _rows(fast, rng)[:-1],
+        }
+        other = RnsPolynomialRing(N, fast.basis, get_backend("avx512"), engine="fast")
+        ops = (
+            lambda p: fast.add(good, p),
+            lambda p: fast.sub(p, good),
+            lambda p: fast.mul(p, good),
+            lambda p: fast.scalar_mul(3, p),
+        )
+        for name, rows in cases.items():
+            for op in ops:
+                with pytest.raises(ArithmeticDomainError):
+                    op(RnsPolynomial(fast, rows))
+        with pytest.raises(ArithmeticDomainError, match=r"x\[1\]\[3\] is not reduced"):
+            fast.mul(RnsPolynomial(fast, cases["unreduced"]), good)
+        for op in ops:
+            with pytest.raises(ArithmeticDomainError, match="different ring"):
+                op(RnsPolynomial(other, _rows(fast, rng)))
