@@ -7,16 +7,17 @@ both engines, verifies the outputs are identical, records everything
 ``repro.obs.snapshot`` store, and fails if the NTT speedup drops below
 the CI floor of 10x.
 
-A second section races the fast engine's two arithmetic substrates —
-the 52-bit redundant-limb r52 path against the double-word schoolbook
-path — at a two-limb (100-bit) prime and again at 124 bits (three
-limbs), with interleaved timing rounds (see ``_duel``) so background
-load cannot skew the ratio; the two-limb r52 NTT speedup is gated at
-``--min-r52-speedup`` (default 1.5x). The 124-bit rows are recorded,
-not gated: they are the measurements behind the substrate rule in
-:mod:`repro.fast.r52` (transforms always on r52, general-operand
-products on r52 only through 102 bits). ``FastNtt`` has no dw stage
-loop, so the NTT contender is :func:`_dw_forward`, kept here.
+A second section races the fast engine's r52 substrate (52-bit
+redundant limbs) against the double-word schoolbook path of
+:class:`DwModulus`, which the engine no longer runs and which is kept
+here as the contender, at a two-limb (100-bit) prime and again at 124
+bits (three limbs), with interleaved timing rounds (see ``_duel``) so
+background load cannot skew the ratio. The two-limb r52 NTT speedup is
+gated at ``--min-r52-speedup`` (default 1.5x); the 4096-element 124-bit
+rows are recorded, not gated. Whole 16 x 4096 ``vector_mul`` and
+``axpy`` calls at 124 bits (the wide-batch pool shard, blocked r52
+against dw) are both gated at ``--min-wide-blas-speedup`` (default
+1.0x): that floor is why general-operand products need no dw path.
 
 A third section duels the limb-split GEMM kernel (which serves 16–62-bit
 moduli) against the r52 stage loop on the negacyclic n = 4096 product at
@@ -52,6 +53,8 @@ import random
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.arith.primes import find_ntt_prime
 from repro.blas.ops import BLAS_OPERATIONS, BlasPlan
@@ -92,9 +95,18 @@ MIN_RNS_SPEEDUP = 1.05
 #: Primes in the RNS step's basis, each of ``GEMM_BITS`` bits (the rns-inproc shape).
 RNS_PRIMES = 4
 
-#: Modulus width for the gated r52 section: a two-limb prime, where
-#: ``auto`` picks r52 for every op (the headline 124-bit prime above is
-#: a three-limb width, duelled separately under the ``_124`` keys).
+#: CI floor for the blocked r52 vs dw 16 x 4096 ``vector_mul``/``axpy``
+#: at 124 bits: below 1.0 the engine would be slower on the wide-batch
+#: shard than the double-word path it replaced.
+MIN_WIDE_BLAS_SPEEDUP = 1.0
+
+#: Key prefix and interleaved rounds of that duel.
+WIDE_BLAS_KEY = "fast.r52.blas16x4096_124"
+WIDE_BLAS_ROUNDS = 15
+
+#: Modulus width for the gated r52 section: a two-limb prime (the
+#: headline 124-bit prime above is a three-limb width, duelled
+#: separately under the ``_124`` keys).
 R52_BITS = 100
 
 
@@ -305,19 +317,152 @@ def run_gemm(bits: int = GEMM_BITS, fast_rounds: int = 5) -> dict:
 
 
 def run_r52(fast_rounds: int = 5) -> dict:
-    """Time the r52 substrate against the dw schoolbook path.
+    """Time the r52 substrate against the double-word schoolbook path.
 
-    Both contenders are the *fast engine* — this section measures what
-    the redundant-limb substrate buys over the existing double-word
-    arithmetic on the 4096-point NTT, resident point-wise multiply and
-    resident ``axpy``, at a two-limb width (``fast.r52.*``) and at the
-    top of the three-limb range (``fast.r52.*_124``), where transforms
-    still run on r52 but ``auto`` BLAS is dw. Every pair is cross-checked
-    bit-exact before the timings are recorded.
+    The r52 side is the fast engine; the dw side is :class:`DwModulus`,
+    the schoolbook Barrett product the engine ran before r52 served
+    every width, kept here as the contender. This section measures what
+    the redundant-limb substrate buys on the 4096-point NTT, resident
+    point-wise multiply and resident ``axpy``, at a two-limb width
+    (``fast.r52.*``) and at the top of the three-limb range
+    (``fast.r52.*_124``), plus whole 16 x 4096 ``vector_mul``/``axpy``
+    calls at 124 bits (``fast.r52.blas16x4096_124.*``, the pool's
+    wide-batch shard). Every pair is cross-checked bit-exact before the
+    timings are recorded.
     """
     values = _substrate_duels(R52_BITS, "", fast_rounds)
     values.update(_substrate_duels(124, "_124", fast_rounds))
+    values.update(_wide_blas_duels(rounds=max(fast_rounds, WIDE_BLAS_ROUNDS)))
     return values
+
+
+# ---------------------------------------------------------------------------
+# The double-word reference: Equation 8's four-word product and the
+# shift-refined Barrett reduction of ``repro.arith.dwmod.mulmod128`` on
+# ``(..., 2)`` uint64 limb arrays, the contender of the r52 duels.
+# ---------------------------------------------------------------------------
+
+_HALF_MASK = np.uint64(0xFFFFFFFF)
+_THIRTY_TWO = np.uint64(32)
+
+
+def _addc(x, y):
+    """Word add with carry out (as a uint64 0/1 array)."""
+    s = x + y
+    return s, (s < x).astype(np.uint64)
+
+
+def mul_64x64(a, b):
+    """Widening 64x64 -> 128 multiply on word arrays: ``(high, low)``.
+
+    Four 32x32 -> 64 partial products (half-limb decomposition). The
+    middle accumulator is below ``2^34``, so it never wraps.
+    """
+    a0, a1 = a & _HALF_MASK, a >> _THIRTY_TWO
+    b0, b1 = b & _HALF_MASK, b >> _THIRTY_TWO
+    ll, lh, hl, hh = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (ll >> _THIRTY_TWO) + (lh & _HALF_MASK) + (hl & _HALF_MASK)
+    low = (mid << _THIRTY_TWO) | (ll & _HALF_MASK)
+    high = hh + (lh >> _THIRTY_TWO) + (hl >> _THIRTY_TWO) + (mid >> _THIRTY_TWO)
+    return high, low
+
+
+def wide_mul_128(a, b):
+    """Schoolbook 128x128 -> 256 multiply: ``(..., 4)`` little-endian words."""
+    with np.errstate(over="ignore"):
+        a0, a1 = a[..., 0], a[..., 1]
+        b0, b1 = b[..., 0], b[..., 1]
+        p00h, p00l = mul_64x64(a0, b0)
+        p01h, p01l = mul_64x64(a0, b1)
+        p10h, p10l = mul_64x64(a1, b0)
+        p11h, p11l = mul_64x64(a1, b1)
+        w1a, c1 = _addc(p00h, p01l)
+        w1, c2 = _addc(w1a, p10l)
+        w2a, c3 = _addc(p01h, p10h)
+        w2b, c4 = _addc(w2a, p11l)
+        w2, c5 = _addc(w2b, c1 + c2)
+        w3 = p11h + c3 + c4 + c5
+        return np.stack([p00l, w1, w2, w3], axis=-1)
+
+
+def mullo128(a, b):
+    """Low 128 bits of a 128x128 product (three word multiplications)."""
+    with np.errstate(over="ignore"):
+        a0, a1 = a[..., 0], a[..., 1]
+        b0, b1 = b[..., 0], b[..., 1]
+        high, low = mul_64x64(a0, b0)
+        return np.stack([low, high + a0 * b1 + a1 * b0], axis=-1)
+
+
+def shift_right_256(words, amount: int):
+    """Right-shift a ``(..., 4)`` 256-bit word array into a limb array.
+
+    The caller guarantees the shifted value fits in 128 bits.
+    """
+    if not 0 <= amount < 256:
+        raise ValueError(f"256-bit shift amount must be in [0, 256), got {amount}")
+    word, rem = divmod(amount, 64)
+
+    def pick(index: int):
+        return words[..., index] if index < 4 else np.zeros_like(words[..., 0])
+
+    if rem == 0:
+        return np.stack([pick(word), pick(word + 1)], axis=-1)
+    r, inv = np.uint64(rem), np.uint64(64 - rem)
+    lo = (pick(word) >> r) | (pick(word + 1) << inv)
+    hi = (pick(word + 1) >> r) | (pick(word + 2) << inv)
+    return np.stack([lo, hi], axis=-1)
+
+
+class DwModulus:
+    """Double-word ``mulmod``/``axpy`` on ``(..., 2)`` limb arrays.
+
+    ``mulmod`` follows :func:`repro.arith.dwmod.mulmod128`: a 256-bit
+    product, the quotient estimate ``((t >> (beta-1)) * mu) >> (beta+1)``,
+    ``t - estimate * q`` modulo ``2^128`` and two conditional
+    subtractions. ``addmod``, ``submod`` and the range check are the fast
+    engine's own, which are double-word already.
+    """
+
+    def __init__(self, q: int) -> None:
+        from repro.fast.limbs import limbs_from_ints
+        from repro.fast.modular import FastModulus
+
+        self.fast = FastModulus.get(q)
+        self.beta = self.fast.beta
+        self.mu = limbs_from_ints(self.fast.params.mu)
+        self.addmod = self.fast.addmod
+        self.submod = self.fast.submod
+        self.check_reduced = self.fast.check_reduced
+
+    def _cond_sub(self, x):
+        from repro.fast.limbs import select128, sub128
+
+        diff, borrow = sub128(x, self.fast.m)
+        return select128(~borrow, diff, x)
+
+    def mulmod(self, a, b):
+        from repro.fast.limbs import sub128
+
+        t_words = wide_mul_128(a, b)
+        t_shifted = shift_right_256(t_words, self.beta - 1)
+        estimate = shift_right_256(wide_mul_128(t_shifted, self.mu), self.beta + 1)
+        c, _ = sub128(t_words[..., :2], mullo128(estimate, self.fast.m))
+        return self._cond_sub(self._cond_sub(c))
+
+    def vector_mul(self, x, y):
+        """``mulmod`` behind the operand range checks ``FastBlasPlan`` makes."""
+        self.check_reduced(x)
+        self.check_reduced(y)
+        return self.mulmod(x, y)
+
+    def axpy(self, a: int, x, y):
+        """``(a * x + y) mod q`` behind ``FastBlasPlan.axpy``'s range checks."""
+        from repro.fast.limbs import limbs_from_ints
+
+        self.check_reduced(x)
+        self.check_reduced(y)
+        return self.addmod(self.mulmod(x, limbs_from_ints(a)), y)
 
 
 def _dw_forward(mod, stage_twiddles, bitrev, data):
@@ -325,11 +470,9 @@ def _dw_forward(mod, stage_twiddles, bitrev, data):
 
     The NTT duel's contender: the Pease dataflow of
     :class:`repro.fast.r52.R52Ntt`, with one ``mulmod``/``addmod``/
-    ``submod`` triple of the dw :class:`~repro.fast.modular.FastModulus`
-    per stage and the same operand range check ``FastNtt.forward`` does.
+    ``submod`` triple of :class:`DwModulus` per stage and the same
+    operand range check ``FastNtt.forward`` does.
     """
-    import numpy as np
-
     mod.check_reduced(data)
     half = data.shape[-2] // 2
     x = data
@@ -346,7 +489,6 @@ def _substrate_duels(bits: int, suffix: str, fast_rounds: int) -> dict:
     """dw-vs-r52 duels at one modulus width; keys carry ``suffix``."""
     from repro.fast.blas import FastBlasPlan
     from repro.fast.limbs import limbs_from_ints, r52_join, r52_split
-    from repro.fast.modular import FastModulus
     from repro.fast.ntt import FastNtt
 
     q = find_ntt_prime(bits, 1 << 20)
@@ -358,7 +500,7 @@ def _substrate_duels(bits: int, suffix: str, fast_rounds: int) -> dict:
     # --- 4096-point forward NTT (Harvey-lazy stages on r52) ----------
     data = limbs_from_ints([rng.randrange(q) for _ in range(NTT_N)])
     ntt = FastNtt(NTT_N, q)
-    mod_dw = FastModulus.get(q, "dw")
+    mod_dw = DwModulus(q)
     stage_tw = [
         limbs_from_ints(ntt.table.pease_stage_twiddles(stage))
         for stage in range(ntt.table.stages)
@@ -378,8 +520,8 @@ def _substrate_duels(bits: int, suffix: str, fast_rounds: int) -> dict:
     x = limbs_from_ints([rng.randrange(q) for _ in range(BLAS_N)])
     y = limbs_from_ints([rng.randrange(q) for _ in range(BLAS_N)])
     a = rng.randrange(q)
-    mod_r52 = FastModulus.get(q, "r52")
-    sub = mod_r52.r52
+    plan = FastBlasPlan(q)
+    sub = plan.mod.r52
 
     # --- resident vector_mul: each substrate on its native layout ----
     # The dw side's resident form is the (..., 2) limb array; the r52
@@ -394,24 +536,63 @@ def _substrate_duels(bits: int, suffix: str, fast_rounds: int) -> dict:
         raise AssertionError(
             f"dw and r52 vector_mul outputs differ at {bits} bits"
         )
-    boundary_s, _ = _best_of(lambda: mod_r52.mulmod(x, y), fast_rounds)
+    boundary_s, _ = _best_of(lambda: plan.mod.mulmod(x, y), fast_rounds)
     values[f"{blas_key}.vector_mul.dw_s"] = dw_s
     values[f"{blas_key}.vector_mul.r52_s"] = r52_s
     values[f"{blas_key}.vector_mul.boundary_s"] = boundary_s
     values[f"{blas_key}.vector_mul.speedup"] = dw_s / r52_s
 
     # --- resident axpy (runtime Shoup constant on the r52 side) ------
-    plan_dw = FastBlasPlan(q, mode="dw")
-    plan_r52 = FastBlasPlan(q, mode="r52")
     dw_s, r52_s, dw_out, r52_out = _duel(
-        lambda: plan_dw.axpy(a, x, y), lambda: plan_r52.axpy(a, x, y),
-        fast_rounds,
+        lambda: mod_dw.axpy(a, x, y), lambda: plan.axpy(a, x, y), fast_rounds,
     )
     if (dw_out != r52_out).any():
         raise AssertionError(f"dw and r52 axpy outputs differ at {bits} bits")
     values[f"{blas_key}.axpy.dw_s"] = dw_s
     values[f"{blas_key}.axpy.r52_s"] = r52_s
     values[f"{blas_key}.axpy.speedup"] = dw_s / r52_s
+    return values
+
+
+def _wide_blas_duels(rounds: int = WIDE_BLAS_ROUNDS) -> dict:
+    """Blocked r52 ``vector_mul``/``axpy`` against dw on one wide-batch shard.
+
+    16 x 4096 operands at 124 bits, limb arrays in and out: the shape a
+    2-worker pool hands each worker on the wide-batch workload. Rounds
+    alternate the two sides; each side's time is the median of its
+    rounds.
+    """
+    import statistics
+
+    from repro.fast.blas import FastBlasPlan
+    from repro.fast.limbs import limbs_from_ints
+
+    q = find_ntt_prime(124, 1 << 20)
+    rng = random.Random(2029)
+    x, y = (
+        limbs_from_ints([[rng.randrange(q) for _ in range(BLAS_N)] for _ in range(16)])
+        for _ in range(2)
+    )
+    a = rng.randrange(q)
+    plan, mod_dw = FastBlasPlan(q), DwModulus(q)
+    values = {}
+    for op, dw_fn, r52_fn in (
+        ("vector_mul", lambda: mod_dw.vector_mul(x, y), lambda: plan.vector_mul(x, y)),
+        ("axpy", lambda: mod_dw.axpy(a, x, y), lambda: plan.axpy(a, x, y)),
+    ):
+        if (dw_fn() != r52_fn()).any():
+            raise AssertionError(f"dw and blocked r52 {op} differ at 124 bits")
+        times = {dw_fn: [], r52_fn: []}
+        for _ in range(rounds):
+            for fn in times:
+                start = time.perf_counter()
+                fn()
+                times[fn].append(time.perf_counter() - start)
+        dw_s = statistics.median(times[dw_fn])
+        r52_s = statistics.median(times[r52_fn])
+        values[f"{WIDE_BLAS_KEY}.{op}.dw_s"] = dw_s
+        values[f"{WIDE_BLAS_KEY}.{op}.r52_s"] = r52_s
+        values[f"{WIDE_BLAS_KEY}.{op}.speedup"] = dw_s / r52_s
     return values
 
 
@@ -427,6 +608,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--min-r52-speedup", type=float, default=MIN_R52_NTT_SPEEDUP,
         help="floor for the r52-vs-schoolbook 4096-point NTT speedup",
+    )
+    parser.add_argument(
+        "--min-wide-blas-speedup", type=float, default=MIN_WIDE_BLAS_SPEEDUP,
+        help="floor for the blocked-r52 vs dw 16x4096 vector_mul/axpy "
+        "speedups at 124 bits",
     )
     parser.add_argument(
         "--min-gemm-speedup", type=float, default=MIN_GEMM_SPEEDUP,
@@ -460,6 +646,12 @@ def main(argv=None) -> int:
               f"  vector_mul "
               f"{values[f'fast.r52.blas4096{suffix}.vector_mul.speedup']:.2f}x"
               f"  axpy {values[f'fast.r52.blas4096{suffix}.axpy.speedup']:.2f}x")
+    wide = {op: values[f"{WIDE_BLAS_KEY}.{op}.speedup"] for op in ("vector_mul", "axpy")}
+    for op in wide:
+        print(f"blocked r52 vs dw @ 124-bit prime, 16 x {BLAS_N} {op}: "
+              f"dw {values[f'{WIDE_BLAS_KEY}.{op}.dw_s'] * 1e3:.2f}ms"
+              f"  r52 {values[f'{WIDE_BLAS_KEY}.{op}.r52_s'] * 1e3:.2f}ms"
+              f"  {wide[op]:.2f}x (gated)")
     for bits in GEMM_DUEL_BITS:
         key = f"fast.gemm.polymul{NTT_N}_{bits}"
         gated = " (gated)" if bits == GEMM_BITS else ""
@@ -483,6 +675,11 @@ def main(argv=None) -> int:
         print(f"FAIL: r52 NTT speedup {r52_ntt:.2f}x is below the "
               f"{args.min_r52_speedup:.1f}x floor", file=sys.stderr)
         return 1
+    for op, speedup in wide.items():
+        if speedup < args.min_wide_blas_speedup:
+            print(f"FAIL: 124-bit 16 x {BLAS_N} {op} speedup {speedup:.2f}x is "
+                  f"below the {args.min_wide_blas_speedup:.1f}x floor", file=sys.stderr)
+            return 1
     if gemm < args.min_gemm_speedup:
         print(f"FAIL: GEMM product speedup {gemm:.2f}x is below the "
               f"{args.min_gemm_speedup:.1f}x floor", file=sys.stderr)
@@ -505,6 +702,8 @@ def test_fast_engine_speedup(tmp_path):
     assert values["fast.r52.ntt4096.speedup"] >= MIN_R52_NTT_SPEEDUP
     assert values["fast.r52.blas4096.vector_mul.speedup"] > 1.0
     assert values["fast.r52.blas4096.axpy.speedup"] > 1.0
+    for op in ("vector_mul", "axpy"):
+        assert values[f"{WIDE_BLAS_KEY}.{op}.speedup"] >= MIN_WIDE_BLAS_SPEEDUP
     assert values[f"fast.gemm.polymul{NTT_N}_{GEMM_BITS}.speedup"] >= MIN_GEMM_SPEEDUP
     assert values[f"fast.rns.mac{NTT_N}_{RNS_PRIMES}x{GEMM_BITS}.speedup"] >= MIN_RNS_SPEEDUP
 

@@ -5,18 +5,20 @@ mul, and ``axpy`` — but each call is a constant number of whole-vector
 NumPy passes instead of a Python loop over SIMD blocks. Inputs may be
 flat vectors or ``(batch, n)`` stacks (the RNS pipeline's residue
 channels); the scalar ``a`` of ``axpy`` broadcasts exactly like the
-backends' hoisted ``broadcast_dw`` register.
+backends' hoisted ``broadcast_dw`` register. ``vector_mul`` and ``axpy``
+run on the r52 substrate at every width, in cache-sized blocks;
+``vector_add``/``vector_sub`` stay double-word.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from repro.errors import ArithmeticDomainError
-from repro.fast.limbs import limbs_from_ints, limbs_to_ints, r52_join, r52_split
-from repro.fast.modular import FastModulus
+from repro.fast.limbs import limbs_to_ints
+from repro.fast.modular import FastModulus, _r52_blocks
 from repro.obs.hooks import count, engine_run_span
 from repro.util.checks import check_reduced
 
@@ -29,19 +31,14 @@ class FastBlasPlan:
     The fast-engine counterpart of :class:`repro.blas.ops.BlasPlan`:
     precomputes the Barrett constants once (shared process-wide via
     :meth:`FastModulus.get`), then serves add/sub/mul/axpy over
-    arbitrarily long (and batched) vectors. ``mode`` selects the
-    arithmetic substrate for the multiplicative ops (see
-    :class:`FastModulus`); the default ``auto`` is what every caller
-    uses, and forcing ``"r52"`` or ``"dw"`` exists for the substrate
-    duels in ``benchmarks/bench_fast.py`` that justify the 102-bit
-    cutoff. On r52, ``axpy`` additionally derives a Shoup constant for
-    its scalar and runs the cheaper precomputed-multiplicand product.
+    arbitrarily long (and batched) vectors. ``axpy`` derives a Shoup
+    constant for its scalar and runs the cheaper precomputed-multiplicand
+    product.
     """
 
-    def __init__(self, q: int, mode: Optional[str] = None) -> None:
+    def __init__(self, q: int) -> None:
         self.q = q
-        self.mod = FastModulus.get(q, mode)
-        self.mode = self.mod.mode
+        self.mod = FastModulus.get(q)
 
     def _coerce_pair(self, x: IntMatrix, y: IntMatrix):
         xa = self.mod.to_limbs(x, "x")
@@ -56,12 +53,12 @@ class FastBlasPlan:
     def vector_add(self, x: IntMatrix, y: IntMatrix) -> IntMatrix:
         """Point-wise ``(x + y) mod q``.
 
-        Always double-word, even on r52 plans: a 128-bit add is two
-        NumPy passes, cheaper than the repack either side would cost.
+        Always double-word: a 128-bit add is two NumPy passes, cheaper
+        than the repack to r52 planes would cost.
         """
         xa, ya, as_ints = self._coerce_pair(x, y)
         with engine_run_span(
-            "fast", "blas.vector_add", xa.size // 2, mode=self.mode
+            "fast", "blas.vector_add", xa.size // 2, mode="r52"
         ):
             out = self.mod.addmod(xa, ya)
         return limbs_to_ints(out) if as_ints else out
@@ -70,7 +67,7 @@ class FastBlasPlan:
         """Point-wise ``(x - y) mod q`` (double-word path, like add)."""
         xa, ya, as_ints = self._coerce_pair(x, y)
         with engine_run_span(
-            "fast", "blas.vector_sub", xa.size // 2, mode=self.mode
+            "fast", "blas.vector_sub", xa.size // 2, mode="r52"
         ):
             out = self.mod.submod(xa, ya)
         return limbs_to_ints(out) if as_ints else out
@@ -78,11 +75,10 @@ class FastBlasPlan:
     def vector_mul(self, x: IntMatrix, y: IntMatrix) -> IntMatrix:
         """Point-wise ``(x * y) mod q``."""
         xa, ya, as_ints = self._coerce_pair(x, y)
-        if self.mod.r52 is not None:
-            count("engine.fast.r52.calls.<op>", "blas.vector_mul")
-            count("engine.fast.r52.elements.<op>", "blas.vector_mul", amount=xa.size // 2)
+        count("engine.fast.r52.calls.<op>", "blas.vector_mul")
+        count("engine.fast.r52.elements.<op>", "blas.vector_mul", amount=xa.size // 2)
         with engine_run_span(
-            "fast", "blas.vector_mul", xa.size // 2, mode=self.mode
+            "fast", "blas.vector_mul", xa.size // 2, mode="r52"
         ):
             out = self.mod.mulmod(xa, ya)
         return limbs_to_ints(out) if as_ints else out
@@ -90,24 +86,22 @@ class FastBlasPlan:
     def axpy(self, a: int, x: IntMatrix, y: IntMatrix) -> IntMatrix:
         """``(a * x + y) mod q`` for scalar ``a`` (broadcast over lanes).
 
-        On the r52 substrate the scalar gets a runtime Shoup constant
-        (one big-int division), turning the broadcast product into the
-        precomputed-multiplicand form — two limb-plane multiplies and
-        one correction instead of a full Barrett reduction per lane.
+        The scalar gets a runtime Shoup constant (one big-int division),
+        turning the broadcast product into the precomputed-multiplicand
+        form — two limb-plane multiplies and one correction instead of a
+        full Barrett reduction per lane. The product and the add run on
+        r52 planes, in blocks (:func:`~repro.fast.modular._r52_blocks`).
         """
         check_reduced(a, self.q, "a")
         xa, ya, as_ints = self._coerce_pair(x, y)
-        if self.mod.r52 is not None:
-            count("engine.fast.r52.calls.<op>", "blas.axpy")
-            count("engine.fast.r52.elements.<op>", "blas.axpy", amount=xa.size // 2)
-        with engine_run_span("fast", "blas.axpy", xa.size // 2, mode=self.mode):
-            if self.mod.r52 is not None:
-                r = self.mod.r52
-                prod = r.mulmod_shoup(r52_split(xa, r.limbs), r.shoup(a))
-                out = r52_join(r.addmod(prod, r52_split(ya, r.limbs)))
-            else:
-                a_block = limbs_from_ints(a)
-                out = self.mod.addmod(self.mod.mulmod(xa, a_block), ya)
+        count("engine.fast.r52.calls.<op>", "blas.axpy")
+        count("engine.fast.r52.elements.<op>", "blas.axpy", amount=xa.size // 2)
+        with engine_run_span("fast", "blas.axpy", xa.size // 2, mode="r52"):
+            r = self.mod.r52
+            pair = r.shoup(a)
+            out = _r52_blocks(
+                r, lambda xp, yp: r.addmod(r.mulmod_shoup(xp, pair), yp), xa, ya
+            )
         return limbs_to_ints(out) if as_ints else out
 
 

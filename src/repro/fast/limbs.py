@@ -6,9 +6,9 @@ The fast engine represents a vector of 128-bit values as a
 the paper's SIMD kernels use (Figure 2), but with the lane dimension
 grown to the whole vector. NumPy has no 128-bit integer dtype, so every
 primitive here is built from 64-bit word operations with explicit
-carry/borrow propagation, and the 64x64->128 widening multiply is
-decomposed into 32-bit half-limbs (four partial products), the same
-trick RPU-style vector units and MoMA's limb arithmetic rely on.
+carry/borrow propagation. Products never run on this layout: they
+repack into the 52-bit limb planes of :func:`r52_split` (the r52
+substrate of :mod:`repro.fast.r52`) and back with :func:`r52_join`.
 
 All operations broadcast: a single value stored as a ``(2,)`` array
 combines with a whole ``(n, 2)`` vector or a ``(batch, n, 2)`` stack of
@@ -29,10 +29,6 @@ from repro.errors import ArithmeticDomainError
 
 #: Dtype of every limb array.
 LIMB_DTYPE = np.uint64
-
-#: Low 32 bits of a word (for the 32-bit half-limb decomposition).
-_HALF_MASK = np.uint64(0xFFFFFFFF)
-_THIRTY_TWO = np.uint64(32)
 
 IntVector = Union[int, Sequence[int], Sequence[Sequence[int]], np.ndarray]
 
@@ -142,36 +138,6 @@ def _wrapping(fn):
     return wrapper
 
 
-def _addc(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Word add with carry out (as a uint64 0/1 array)."""
-    s = x + y
-    return s, (s < x).astype(LIMB_DTYPE)
-
-
-@_wrapping
-def mul_64x64(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Widening 64x64 -> 128 multiply on word arrays: ``(high, low)``.
-
-    NumPy's ``uint64 * uint64`` keeps only the low word, so the product
-    is assembled from four 32x32->64 partial products (half-limb
-    decomposition). The middle-term accumulator ``mid`` is at most
-    ``3 * (2^32 - 1) < 2^34``, so it never wraps; the high word is exact
-    because the true high half always fits in 64 bits.
-    """
-    a0 = a & _HALF_MASK
-    a1 = a >> _THIRTY_TWO
-    b0 = b & _HALF_MASK
-    b1 = b >> _THIRTY_TWO
-    ll = a0 * b0
-    lh = a0 * b1
-    hl = a1 * b0
-    hh = a1 * b1
-    mid = (ll >> _THIRTY_TWO) + (lh & _HALF_MASK) + (hl & _HALF_MASK)
-    low = (mid << _THIRTY_TWO) | (ll & _HALF_MASK)
-    high = hh + (lh >> _THIRTY_TWO) + (hl >> _THIRTY_TWO) + (mid >> _THIRTY_TWO)
-    return high, low
-
-
 # ---------------------------------------------------------------------------
 # 128-bit (double-word) operations
 # ---------------------------------------------------------------------------
@@ -180,10 +146,10 @@ def mul_64x64(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 @_wrapping
 def add128(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """128-bit add: ``(sum mod 2^128, carry_out)`` with vector carries."""
-    lo, c = _addc(a[..., 0], b[..., 0])
-    hi1, c2 = _addc(a[..., 1], b[..., 1])
-    hi, c3 = _addc(hi1, c)
-    return np.stack([lo, hi], axis=-1), (c2 | c3).astype(bool)
+    lo = a[..., 0] + b[..., 0]
+    hi1 = a[..., 1] + b[..., 1]
+    hi = hi1 + (lo < a[..., 0])
+    return np.stack([lo, hi], axis=-1), (hi1 < a[..., 1]) | (hi < hi1)
 
 
 @_wrapping
@@ -223,44 +189,6 @@ def geq128(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def select128(cond: np.ndarray, if_true: np.ndarray, if_false: np.ndarray) -> np.ndarray:
     """Per-element select by a boolean condition (the SIMD blend)."""
     return np.where(cond[..., None], if_true, if_false)
-
-
-@_wrapping
-def wide_mul_128(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Schoolbook 128x128 -> 256 multiply: ``(..., 4)`` word array.
-
-    Words are little-endian (Equation 8's four word multiplications with
-    full carry accumulation). The top word cannot overflow because the
-    exact product is below ``2^256``.
-    """
-    a0, a1 = a[..., 0], a[..., 1]
-    b0, b1 = b[..., 0], b[..., 1]
-    p00h, p00l = mul_64x64(a0, b0)
-    p01h, p01l = mul_64x64(a0, b1)
-    p10h, p10l = mul_64x64(a1, b0)
-    p11h, p11l = mul_64x64(a1, b1)
-
-    w1a, c1 = _addc(p00h, p01l)
-    w1, c2 = _addc(w1a, p10l)
-    carry1 = c1 + c2
-
-    w2a, c3 = _addc(p01h, p10h)
-    w2b, c4 = _addc(w2a, p11l)
-    w2, c5 = _addc(w2b, carry1)
-    carry2 = c3 + c4 + c5
-
-    w3 = p11h + carry2
-    return np.stack([p00l, w1, w2, w3], axis=-1)
-
-
-@_wrapping
-def mullo128(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Low 128 bits of a 128x128 product (three word multiplications)."""
-    a0, a1 = a[..., 0], a[..., 1]
-    b0, b1 = b[..., 0], b[..., 1]
-    high, low = mul_64x64(a0, b0)
-    cross = a0 * b1 + a1 * b0  # mullo only: wraps mod 2^64 by design
-    return np.stack([low, high + cross], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +256,4 @@ def r52_join(planes: Sequence[np.ndarray]) -> np.ndarray:
         raise ArithmeticDomainError(
             f"r52 limb count must be 1, 2 or 3, got {limbs}"
         )
-    return np.stack([lo, hi], axis=-1)
-
-
-def shift_right_256(words: np.ndarray, amount: int) -> np.ndarray:
-    """Right-shift a ``(..., 4)`` 256-bit word array into a limb array.
-
-    ``amount`` is a scalar (the Barrett shifts ``beta - 1`` and
-    ``beta + 1`` are per-modulus constants). The caller guarantees the
-    shifted value fits in 128 bits, as in the faithful kernels.
-    """
-    if not 0 <= amount < 256:
-        raise ArithmeticDomainError(
-            f"256-bit shift amount must be in [0, 256), got {amount}"
-        )
-    word, rem = divmod(amount, 64)
-
-    def pick(index: int) -> np.ndarray:
-        if index >= 4:
-            return np.zeros_like(words[..., 0])
-        return words[..., index]
-
-    if rem == 0:
-        return np.stack([pick(word), pick(word + 1)], axis=-1)
-    r = np.uint64(rem)
-    inv = np.uint64(64 - rem)
-    lo = (pick(word) >> r) | (pick(word + 1) << inv)
-    hi = (pick(word + 1) >> r) | (pick(word + 2) << inv)
     return np.stack([lo, hi], axis=-1)

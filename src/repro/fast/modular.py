@@ -1,16 +1,15 @@
-"""Vectorized double-word modular arithmetic (the fast engine's core).
+"""Vectorized modular arithmetic on double-word limb arrays.
 
 :class:`FastModulus` is the NumPy analogue of a kernel backend's
-:class:`~repro.kernels.backend.ModulusContext`: one precomputation of
-the Barrett constants per modulus, then whole-vector ``addmod`` /
-``submod`` / ``mulmod`` over ``(..., 2)`` uint64 limb arrays. Every
-operation runs the *same algorithm* as the ISA-faithful path —
-Listing 1's carry structure for addition, Equation 7's borrow/add-back
-for subtraction, and the shift-refined Barrett reduction of
-:func:`repro.arith.dwmod.mulmod128` (wide product, quotient estimate,
-``mullo``/subtract, two conditional corrections) — so the results agree
-bit for bit with :mod:`repro.arith.dwmod` and with all four kernel
-backends for any modulus up to 124 bits.
+:class:`~repro.kernels.backend.ModulusContext`: one precomputation per
+modulus, then whole-vector ``addmod`` / ``submod`` / ``mulmod`` over
+``(..., 2)`` uint64 limb arrays. Addition and subtraction run Listing 1's
+carry structure and Equation 7's borrow/add-back on the two words
+directly. Products run on the 52-bit redundant-limb substrate of
+:mod:`repro.fast.r52` at every width through 124 bits, one block of
+:data:`BLOCK_ELEMENTS` elements at a time (:func:`_r52_blocks`). Results
+agree bit for bit with :mod:`repro.arith.dwmod` and with all four kernel
+backends.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from __future__ import annotations
 import threading
 from array import array
 from collections import OrderedDict
-from typing import Optional, Tuple, Union
+from math import prod
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -33,22 +33,19 @@ from repro.fast.limbs import (
     limbs_from_ints,
     limbs_from_words,
     limbs_to_ints,
-    mullo128,
     r52_join,
     r52_split,
     select128,
-    shift_right_256,
     sub128,
-    wide_mul_128,
 )
-from repro.fast.r52 import get_r52_modulus, resolve_substrate
+from repro.fast.r52 import LimbPlanes, R52Modulus, get_r52_modulus
 from repro.obs.hooks import count
 
-#: Process-wide memoized moduli, keyed by ``(q, resolved_mode)`` and
-#: LRU-bounded like the twiddle cache (see ``FastModulus.get``): an RNS
-#: ring cycling through many channel primes must not re-derive Barrett
-#: and r52 constants at every plan construction, nor grow without limit.
-_MODULUS_CACHE: "OrderedDict[Tuple[int, str], FastModulus]" = OrderedDict()
+#: Process-wide memoized moduli, keyed by ``q`` and LRU-bounded like the
+#: twiddle cache (see ``FastModulus.get``): an RNS ring cycling through
+#: many channel primes must not re-derive Barrett and r52 constants at
+#: every plan construction, nor grow without limit.
+_MODULUS_CACHE: "OrderedDict[int, FastModulus]" = OrderedDict()
 _MODULUS_LOCK = threading.Lock()
 
 #: Default bound on cached FastModulus instances.
@@ -97,45 +94,73 @@ def _pack_narrow(values: IntVector) -> Optional[np.ndarray]:
     return None if words is None else limbs_from_words(words)
 
 
+#: Elements per block of a general-operand r52 product
+#: (:func:`_r52_blocks`). A whole-array product holds about 180 B of
+#: temporaries per element at its peak; per block they stay in cache.
+BLOCK_ELEMENTS = 8192
+
+
+def _r52_blocks(
+    r: R52Modulus, op: Callable[..., LimbPlanes], *operands: np.ndarray
+) -> np.ndarray:
+    """``op`` on r52 limb planes, :data:`BLOCK_ELEMENTS` elements at a time.
+
+    Each block of the ``(..., 2)`` operands is split into 52-bit planes,
+    ``op`` runs on them and the result is joined into one preallocated
+    output of the operands' broadcast shape. Operands broadcast as in
+    NumPy: a ``(2,)`` single value or an ``(n, 2)`` row against a
+    ``(batch, n, 2)`` stack. An output that fits one block is computed
+    in one pass.
+    """
+
+    def run(*blocks: np.ndarray) -> np.ndarray:
+        return r52_join(op(*(r52_split(b, r.limbs) for b in blocks)))
+
+    shape = np.broadcast_shapes(*(x.shape for x in operands))
+    if prod(shape[:-1]) <= BLOCK_ELEMENTS:
+        return run(*operands).reshape(shape)
+    n = shape[-2]
+    out = np.empty(shape, dtype=LIMB_DTYPE)
+    rows = out.reshape(-1, n, 2)
+    views = [
+        x if x.ndim == 1 else np.broadcast_to(x, shape).reshape(rows.shape)
+        for x in operands
+    ]
+    row_step, col_step = max(1, BLOCK_ELEMENTS // n), min(n, BLOCK_ELEMENTS)
+    for r0 in range(0, rows.shape[0], row_step):
+        for c0 in range(0, n, col_step):
+            block = (slice(r0, r0 + row_step), slice(c0, c0 + col_step))
+            rows[block] = run(*(x if x.ndim == 1 else x[block] for x in views))
+    return out
+
+
 class FastModulus:
     """Per-modulus state for vectorized modular arithmetic (``q <= 2^124``).
 
-    ``mode`` picks the arithmetic substrate for ``mulmod``: ``"dw"``
-    runs the 128-bit schoolbook path below, ``"r52"`` routes through
-    the 52-bit redundant-limb substrate (:mod:`repro.fast.r52`), and
-    ``"auto"``/``None`` picks r52 through
-    :data:`~repro.fast.r52.R52_AUTO_MAX_BETA` (102) bits and dw above.
-    Both substrates stay live: ``auto`` needs dw for wide
-    general-operand products, transform plans always ask for ``"r52"``
-    (their r52 chains run its three-limb ``mulmod`` at any width), and the
-    substrate duels in ``benchmarks/bench_fast.py`` force each side.
-    Results are bit-identical either way; ``addmod``/``submod`` always
-    stay double-word (the repack would cost more than carry chains on
-    an add). The public array layout is ``(..., 2)`` uint64 regardless.
+    ``addmod``/``submod`` stay double-word (a 128-bit add is two NumPy
+    passes, cheaper than any repack); ``mulmod`` runs on the bound
+    :class:`~repro.fast.r52.R52Modulus` in cache-sized blocks. The public
+    array layout is ``(..., 2)`` uint64 throughout.
 
     Attributes:
         q: The modulus (Python int).
         params: The shared :class:`~repro.arith.barrett.BarrettParams`.
         m: The modulus as a ``(2,)`` limb array (broadcasts over vectors).
-        mu: Barrett ``mu`` as a ``(2,)`` limb array.
-        mode: The resolved substrate, ``"r52"`` or ``"dw"``.
-        r52: The bound :class:`~repro.fast.r52.R52Modulus` (or ``None``).
+        r52: The bound :class:`~repro.fast.r52.R52Modulus`.
     """
 
-    def __init__(self, q: int, mode: Optional[str] = None) -> None:
+    def __init__(self, q: int) -> None:
         check_modulus_128(q)
         self.q = q
         self.params = BarrettParams(q)
         self.params.check_width(128)
         self.beta = self.params.beta
         self.m = limbs_from_ints(q)
-        self.mu = limbs_from_ints(self.params.mu)
-        self.mode = resolve_substrate(mode, q)
-        self.r52 = get_r52_modulus(q) if self.mode == "r52" else None
+        self.r52 = get_r52_modulus(q)
 
     @classmethod
-    def get(cls, q: int, mode: Optional[str] = None) -> "FastModulus":
-        """The process-wide memoized modulus for ``(q, mode)``.
+    def get(cls, q: int) -> "FastModulus":
+        """The process-wide memoized modulus for ``q``.
 
         Mirrors :meth:`repro.ntt.twiddles.TwiddleTable.get`: every fast
         plan constructs its modulus through this cache, so repeated
@@ -143,16 +168,15 @@ class FastModulus:
         r52 precomputation per prime. Evictions bump the
         ``fastmod.evictions`` counter.
         """
-        key = (q, resolve_substrate(mode, q))
         with _MODULUS_LOCK:
-            mod = _MODULUS_CACHE.get(key)
+            mod = _MODULUS_CACHE.get(q)
             if mod is not None:
-                _MODULUS_CACHE.move_to_end(key)
+                _MODULUS_CACHE.move_to_end(q)
                 return mod
-        mod = cls(q, mode)
+        mod = cls(q)
         with _MODULUS_LOCK:
-            mod = _MODULUS_CACHE.setdefault(key, mod)
-            _MODULUS_CACHE.move_to_end(key)
+            mod = _MODULUS_CACHE.setdefault(q, mod)
+            _MODULUS_CACHE.move_to_end(q)
             while len(_MODULUS_CACHE) > DEFAULT_CACHE_CAPACITY:
                 _MODULUS_CACHE.popitem(last=False)
                 count("fastmod.evictions")
@@ -166,12 +190,12 @@ class FastModulus:
 
     @classmethod
     def cache_size(cls) -> int:
-        """Number of cached ``(q, mode)`` entries."""
+        """Number of cached moduli."""
         with _MODULUS_LOCK:
             return len(_MODULUS_CACHE)
 
     def __repr__(self) -> str:
-        return f"FastModulus(q={self.q}, mode={self.mode!r})"
+        return f"FastModulus(q={self.q})"
 
     # ------------------------------------------------------------------
     # Input handling
@@ -225,38 +249,14 @@ class FastModulus:
         return select128(borrow, fixed, diff)
 
     def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``(a * b) mod q`` element-wise via Barrett reduction.
+        """``(a * b) mod q`` element-wise (broadcasting).
 
-        Steps (identical to :func:`repro.arith.dwmod.mulmod128` and
-        :meth:`repro.kernels.backend.Backend.mulmod`):
-
-        1. ``t = a * b`` (256-bit schoolbook),
-        2. quotient estimate ``((t >> (beta-1)) * mu) >> (beta+1)``,
-        3. ``c = t - estimate * q`` modulo ``2^128``,
-        4. two conditional subtractions of ``q``.
-
-        When the r52 substrate is active the same product runs over
-        52-bit redundant limbs instead (identical results, fewer
-        whole-vector passes); the repack happens at this boundary.
+        The guard-bit Barrett product of
+        :meth:`repro.fast.r52.R52Modulus.mulmod`, run over 52-bit limb
+        planes in blocks (:func:`_r52_blocks`); bit-identical to
+        :func:`repro.arith.dwmod.mulmod128`.
         """
-        if self.r52 is not None:
-            r = self.r52
-            out = r.mulmod(r52_split(a, r.limbs), r52_split(b, r.limbs))
-            return r52_join(out)
-        t_words = wide_mul_128(a, b)
-        t_shifted = shift_right_256(t_words, self.beta - 1)
-        g_words = wide_mul_128(t_shifted, self.mu)
-        estimate = shift_right_256(g_words, self.beta + 1)
-        est_q_low = mullo128(estimate, self.m)
-        c, _ = sub128(t_words[..., :2], est_q_low)
-        c = self._cond_sub(c)
-        c = self._cond_sub(c)
-        return c
-
-    def _cond_sub(self, x: np.ndarray) -> np.ndarray:
-        """One Barrett correction: ``x - q`` where ``x >= q``."""
-        diff, borrow = sub128(x, self.m)
-        return select128(~borrow, diff, x)
+        return _r52_blocks(self.r52, self.r52.mulmod, a, b)
 
     # ------------------------------------------------------------------
     # Int-level conveniences (the engine's scalar escape hatch)

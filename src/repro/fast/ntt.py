@@ -83,17 +83,13 @@ class FastNtt:
             self.table = table
         else:
             self.table = TwiddleTable.get(n, q, root or 0)
-        self.mod = FastModulus.get(q, "r52")
+        self.mod = FastModulus.get(q)
         split = gemm_split(n, q.bit_length())
         #: The GEMM kernel, or ``None`` where the r52 stage loop serves.
         self._gemm = (
             GemmNtt(n, q, self.table.root, split) if split is not None else None
         )
-        self.mode = "gemm" if self._gemm is not None else self.mod.mode
-        #: Standalone general-operand products (:meth:`pointwise_mul`)
-        #: resolve ``auto`` like BLAS: at three limbs a full r52 Barrett
-        #: product is slower than dw.
-        self._pointwise_mod = FastModulus.get(q)
+        self.mode = "gemm" if self._gemm is not None else "r52"
         self._bitrev = bit_reverse_indices(n)
 
     @cached_property
@@ -145,12 +141,10 @@ class FastNtt:
         """Element-wise spectral product (the convolution-theorem middle)."""
         fa, as_ints = self._coerce(f)
         ga, _ = self._coerce(g)
-        mod = self._pointwise_mod
-        if mod.r52 is not None:
-            count("engine.fast.r52.calls.<op>", "ntt.pointwise")
-            count("engine.fast.r52.elements.<op>", "ntt.pointwise", amount=fa.size // 2)
-        with engine_run_span("fast", "ntt.pointwise", fa.size // 2, mode=mod.mode):
-            out = mod.mulmod(fa, ga)
+        count("engine.fast.r52.calls.<op>", "ntt.pointwise")
+        count("engine.fast.r52.elements.<op>", "ntt.pointwise", amount=fa.size // 2)
+        with engine_run_span("fast", "ntt.pointwise", fa.size // 2, mode="r52"):
+            out = self.mod.mulmod(fa, ga)
         return limbs_to_ints(out) if as_ints else out
 
     def cyclic_multiply(self, f: IntMatrix, g: IntMatrix, *, words: bool = False) -> IntMatrix:

@@ -5,8 +5,11 @@ This module is the NumPy reproduction of Intel HEXL's core idea (see
 lanes, mirror the ``vpmadd52luq``/``vpmadd52huq`` split as vectorized
 64-bit multiplies whose partial products *stay redundant*, and batch
 carry propagation — once per NTT stage, once per BLAS op — instead of
-chaining carries through every multiply the way the double-word
-(``repro.fast.limbs``) substrate must.
+chaining carries through every multiply the way a double-word
+schoolbook product must. It is the fast engine's only multiplier for
+transforms outside the GEMM kernel's range and for every
+general-operand product (BLAS ``vector_mul``/``axpy``, standalone
+point-wise products) at every width through 124 bits.
 
 Representation
     A vector mod ``q`` is ``L`` separate contiguous ``uint64`` planes,
@@ -36,14 +39,14 @@ over 52-bit limbs with one guard bit on each shift —
 *single* conditional subtraction finishes ``mulmod`` (the classic
 ``beta-1``/``beta+1`` shifts of the double-word path need two).
 Everything is cross-validated bit-exactly against :mod:`repro.arith.dwmod`
-and the schoolbook fast path in ``tests/test_fast_r52.py``.
+in ``tests/test_fast_r52.py``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,21 +61,6 @@ from repro.fast.limbs import (
 )
 from repro.ntt.twiddles import TwiddleTable
 from repro.obs.hooks import count
-
-#: Valid values for the ``mode=`` kwarg of ``FastModulus``/``FastBlasPlan``.
-FAST_MODES = ("auto", "r52", "dw")
-
-#: Widest modulus (``q.bit_length()``) ``auto`` routes general-operand
-#: products to r52. Through 102 bits everything fits two limbs and r52
-#: wins. From 103 bits a Barrett product takes two full three-limb
-#: products, and the extra columns erase the win (16-row ``vector_mul``
-#: at 124 bits: dw 21 ms, r52 26 ms), so ``auto`` keeps dw there.
-#: Transforms ignore this bound: a Shoup twiddle product takes one full
-#: product and two low halves, so they run on r52 at every width the
-#: GEMM kernel does not serve (forward NTT, n=4096, 124 bits: 1.3-1.5x
-#: over dw for 1-16 rows).
-#: ``bench_fast.py`` duels both substrates at 100 and 124 bits.
-R52_AUTO_MAX_BETA = 102
 
 #: How many canonical 52-bit limbs one ``uint64`` lane can accumulate
 #: before the deferred-carry sum can wrap: ``2^(64-52)``. This is the
@@ -99,23 +87,6 @@ _WIN_BITS = _U64(12)
 _SCALE = 2.0 ** -52
 
 LimbPlanes = List[np.ndarray]
-
-
-def resolve_substrate(mode: Optional[str], q: int) -> str:
-    """Resolve a requested ``mode=`` for modulus ``q`` to ``"r52"``/``"dw"``.
-
-    ``mode=None`` means ``"auto"``, which picks r52 exactly when
-    ``q.bit_length() <= R52_AUTO_MAX_BETA``.
-    """
-    if mode is None:
-        mode = "auto"
-    if mode not in FAST_MODES:
-        raise ArithmeticDomainError(
-            f"fast mode must be one of {FAST_MODES}, got {mode!r}"
-        )
-    if mode == "auto":
-        return "r52" if 2 <= q.bit_length() <= R52_AUTO_MAX_BETA else "dw"
-    return mode
 
 
 def limb_count(beta: int) -> int:

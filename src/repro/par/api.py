@@ -33,7 +33,7 @@ import numpy as np
 from repro.errors import NttParameterError
 from repro.fast import chain as fast_chain
 from repro.fast.blas import FastBlasPlan, IntMatrix
-from repro.fast.limbs import LIMB_DTYPE, limbs_from_ints, limbs_to_ints
+from repro.fast.limbs import LIMB_DTYPE, limbs_to_ints
 from repro.fast.modular import FastModulus
 from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.ntt.twiddles import TwiddleTable
@@ -526,8 +526,8 @@ def parallel_rns_mul(
     """
     primes = ring.basis.primes
     k, n = len(primes), ring.n
-    fa = limbs_from_ints(f_residues)
-    ga = limbs_from_ints(g_residues)
+    fa = np.empty((k, n, 2), dtype=LIMB_DTYPE)
+    ga = np.empty((k, n, 2), dtype=LIMB_DTYPE)
     steps = (
         fast_chain.NEGACYCLIC_MUL_STEPS
         if ring.negacyclic
@@ -538,11 +538,12 @@ def parallel_rns_mul(
         plan = ring._ntt[q]
         ntt = plan.plan if ring.negacyclic else plan
         psi = plan.psi if ring.negacyclic else None
-        # Validate in-process, per prime, so a bad operand fails fast
-        # with the fast engine's error instead of a retried worker failure.
-        mod = FastModulus.get(q, "r52")
-        mod.check_reduced(fa[i])
-        mod.check_reduced(ga[i])
+        # Pack and range-check in process, per prime, so a bad operand
+        # fails fast with the fast engine's error instead of a retried
+        # worker failure.
+        mod = FastModulus.get(q)
+        fa[i] = mod.to_limbs(f_residues[i], f"f_residues[{i}]")
+        ga[i] = mod.to_limbs(g_residues[i], f"g_residues[{i}]")
         metas.append(_chain_meta(steps, q, n, ntt.table.root, psi))
     count("engine.<engine>.calls.<op>", "parallel", "rns.mul")
     count("engine.<engine>.elements.<op>", "parallel", "rns.mul", amount=k * n)

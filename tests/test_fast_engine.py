@@ -7,7 +7,10 @@ polymul), all four BLAS operations, batched and unbatched, including
 carry/borrow edge cases at the ``2^64`` limb boundary.
 """
 
+import importlib.util
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,17 +21,8 @@ from repro.arith.doubleword import dw_from_int, dw_value
 from repro.arith.primes import find_ntt_prime
 from repro.errors import ArithmeticDomainError, NttParameterError
 from repro.fast.blas import FastBlasPlan
-from repro.fast.limbs import (
-    add128,
-    limbs_from_ints,
-    limbs_to_ints,
-    mul_64x64,
-    mullo128,
-    shift_right_256,
-    sub128,
-    wide_mul_128,
-)
-from repro.fast.modular import FastModulus
+from repro.fast.limbs import add128, limbs_from_ints, limbs_to_ints, sub128
+from repro.fast.modular import BLOCK_ELEMENTS, FastModulus
 from repro.fast.ntt import FastNegacyclic, FastNtt, fast_negacyclic_polymul
 from repro.ntt.negacyclic import NegacyclicNtt
 from repro.ntt.reference import naive_intt, naive_ntt
@@ -39,12 +33,29 @@ from repro.obs import observing
 WIDTHS = (64, 100, 120, 124)
 
 #: Extra widths around the r52 one-to-two-limb step (50|51 bits), the
-#: r52/dw substrate cutoff (102|103 bits) and the 124-bit ceiling (124 is
+#: two-to-three-limb step (102|103 bits) and the 124-bit ceiling (124 is
 #: in WIDTHS): the fused chain's r52 and dw register files.
 BOUNDARY_WIDTHS = (51, 52, 53, 102, 103, 104, 123)
 
 #: A one-word modulus (narrow packing path) for the conversion tests.
 NARROW_Q = find_ntt_prime(60, 256)
+
+
+def _load_dw_reference():
+    """``benchmarks/bench_fast.py``: home of the double-word ``mulmod``.
+
+    The benchmark keeps the schoolbook Barrett product the fast engine
+    no longer runs, as the contender of its r52 duels; its word helpers
+    are unit-tested here.
+    """
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_fast.py"
+    spec = importlib.util.spec_from_file_location("bench_fast", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dw_reference = _load_dw_reference()
 
 
 def prime_for(bits):
@@ -202,7 +213,7 @@ class TestLimbPrimitives:
         words = [0, 1, 2, (1 << 32) - 1, 1 << 32, (1 << 63), (1 << 64) - 1]
         a = np.array([x for x in words for _ in words], dtype=np.uint64)
         b = np.array(words * len(words), dtype=np.uint64)
-        hi, lo = mul_64x64(a, b)
+        hi, lo = dw_reference.mul_64x64(a, b)
         for x, y, h, l in zip(a.tolist(), b.tolist(), hi.tolist(), lo.tolist()):
             assert (int(h) << 64) | int(l) == x * y
 
@@ -234,8 +245,8 @@ class TestLimbPrimitives:
         ]
         a = limbs_from_ints(vals)
         b = limbs_from_ints(list(reversed(vals)))
-        words = wide_mul_128(a, b)
-        low = mullo128(a, b)
+        words = dw_reference.wide_mul_128(a, b)
+        low = dw_reference.mullo128(a, b)
         for x, y, w, l in zip(
             vals, reversed(vals), words.tolist(), limbs_to_ints(low)
         ):
@@ -252,7 +263,7 @@ class TestLimbPrimitives:
             [[(v >> (64 * i)) & ((1 << 64) - 1) for i in range(4)] for v in vals],
             dtype=np.uint64,
         )
-        shifted = shift_right_256(words, amount)
+        shifted = dw_reference.shift_right_256(words, amount)
         for v, got in zip(vals, limbs_to_ints(shifted)):
             expected = (v >> amount) % (1 << 128)
             assert got == expected
@@ -430,6 +441,82 @@ class TestFastBlasCrossValidation:
         fast = FastBlasPlan(q)
         with pytest.raises(ArithmeticDomainError):
             fast.vector_add([1, 2], [1, 2, 3])
+
+
+#: Element counts around the block edges of general-operand products.
+BLOCK_COUNTS = (
+    1, BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS, BLOCK_ELEMENTS + 1,
+    3 * BLOCK_ELEMENTS + 5,
+)
+
+
+def _ints(arr):
+    """A limb array as nested Python ints (object-array arithmetic input)."""
+    return np.array(limbs_to_ints(arr), dtype=object)
+
+
+class TestBlockedProducts:
+    """General-operand products run in blocks; every block edge is exact."""
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    @pytest.mark.parametrize("bits", (60, 103, 124))
+    def test_blas_products_exact_across_block_edges(self, bits, count):
+        q = prime_for(bits)
+        fast = FastBlasPlan(q)
+        rng = random.Random(bits * count)
+        a = rng.randrange(q)
+        # Flat, then batched: three rows of ``count``, or for one element
+        # a column of single-element rows, so that blocks span rows.
+        batched = (3, count) if count > 1 else (3 * BLOCK_ELEMENTS + 5, 1)
+        for shape in ((count,), batched):
+            size = int(np.prod(shape))
+            x, y = (
+                limbs_from_ints(random_vector(rng, q, size)).reshape(shape + (2,))
+                for _ in range(2)
+            )
+            xi, yi = _ints(x), _ints(y)
+            assert limbs_to_ints(fast.vector_mul(x, y)) == (xi * yi % q).tolist()
+            assert limbs_to_ints(fast.axpy(a, x, y)) == ((a * xi + yi) % q).tolist()
+
+    @pytest.mark.parametrize("bits", (60, 103, 124))
+    def test_broadcast_shapes_exact_across_blocks(self, bits):
+        n = 2 * BLOCK_ELEMENTS
+        q = find_ntt_prime(bits, 2 * n)
+        rng = random.Random(bits)
+        row = limbs_from_ints(random_vector(rng, q, n))
+        batch = limbs_from_ints([random_vector(rng, q, n) for _ in range(3)])
+        scalar = limbs_from_ints(rng.randrange(q))
+        ri, bi, si = _ints(row), _ints(batch), limbs_to_ints(scalar)
+        want = (ri * bi % q).tolist()
+        mod = FastModulus.get(q)
+        assert limbs_to_ints(mod.mulmod(row, batch)) == want
+        assert limbs_to_ints(mod.mulmod(batch, row)) == want
+        assert limbs_to_ints(mod.mulmod(batch, scalar)) == (bi * si % q).tolist()
+        assert limbs_to_ints(mod.mulmod(scalar, scalar)) == si * si % q
+        ntt = FastNtt(n, q)
+        assert limbs_to_ints(ntt.pointwise_mul(row, batch[0])) == want[0]
+        assert limbs_to_ints(ntt.pointwise_mul(row, batch)) == want
+        assert limbs_to_ints(ntt.pointwise_mul(batch, batch)) == (bi * bi % q).tolist()
+
+    @pytest.mark.parametrize("op", ("vector_mul", "axpy"))
+    def test_wide_shard_peak_memory(self, op):
+        """One 16 x 4096 shard at 124 bits peaks below 8 MB (the dw path: 16.3 MB)."""
+        q = prime_for(124)
+        fast = FastBlasPlan(q)
+        rng = random.Random(16)
+        x, y = (
+            limbs_from_ints([random_vector(rng, q, 4096) for _ in range(16)])
+            for _ in range(2)
+        )
+        args = (x, y) if op == "vector_mul" else (rng.randrange(q), x, y)
+        getattr(fast, op)(*args)
+        tracemalloc.start()
+        try:
+            getattr(fast, op)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestEngineSwitch:

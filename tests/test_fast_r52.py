@@ -1,4 +1,4 @@
-"""The r52 substrate: bit-exactness vs arith.dwmod, mode plumbing, carries.
+"""The r52 substrate: bit-exactness vs arith.dwmod, routing, carries.
 
 The 52-bit redundant-limb substrate (:mod:`repro.fast.r52`) must agree
 bit for bit with the branch-structured double-word reference
@@ -25,13 +25,11 @@ from repro.fast.modular import FastModulus
 from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.fast.r52 import (
     MAX_DEFERRED_ADDS,
-    R52_AUTO_MAX_BETA,
     STAGE_DEFERRED_ADDS,
     R52Modulus,
     R52Ntt,
     get_r52_modulus,
     limb_count,
-    resolve_substrate,
 )
 
 #: Transform order every drawn prime supports (n <= 32 negacyclic).
@@ -184,55 +182,45 @@ class TestNttModes:
         assert r52.inverse(r52.forward(rows)) == rows
 
 
-class TestModeResolution:
-    def test_auto_threshold(self, monkeypatch):
-        # One bound, for general-operand products only.
-        assert R52_AUTO_MAX_BETA == 102
-        below = find_ntt_prime(R52_AUTO_MAX_BETA, ORDER)
-        above = find_ntt_prime(R52_AUTO_MAX_BETA + 2, ORDER)
-        assert resolve_substrate("auto", below) == "r52"
-        assert resolve_substrate("auto", above) == "dw"
-        assert resolve_substrate(None, above) == "dw"
-        assert resolve_substrate("r52", above) == "r52"
-        assert resolve_substrate("dw", below) == "dw"
-        # The retired REPRO_FAST_MODE override changes nothing.
-        monkeypatch.setenv("REPRO_FAST_MODE", "dw")
-        assert resolve_substrate(None, below) == "r52"
-        assert FastNtt(ORDER, below).mode == "r52"
-        assert FastNtt(ORDER, above).mode == "r52"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ArithmeticDomainError):
-            resolve_substrate("montgomery", 97)
-        with pytest.raises(ArithmeticDomainError):
-            FastModulus(97, mode="ifma")
-
-    def test_forced_r52_still_exact_above_auto_range(self):
-        q = find_ntt_prime(120, ORDER)
-        rng = random.Random(9)
-        fm = FastModulus(q, mode="r52")
-        xs = [rng.randrange(q) for _ in range(16)]
-        ys = [rng.randrange(q) for _ in range(16)]
-        assert fm.mulmod_ints(xs, ys) == [x * y % q for x, y in zip(xs, ys)]
-
-
-#: Three-limb widths where transforms and BLAS resolve ``auto`` apart.
+#: Three-limb widths: the top of the range, served by r52 alone.
 THREE_LIMB_WIDTHS = (103, 104, 123, 124)
 
 
 class TestPerKindAuto:
-    """Transforms run on r52 at every width; ``auto`` BLAS is dw above 102."""
+    """Every op kind runs on r52 at three-limb widths; no caller picks."""
 
     @pytest.mark.parametrize("bits", THREE_LIMB_WIDTHS)
-    def test_transforms_pick_r52_blas_keeps_dw(self, bits):
+    def test_every_kind_runs_on_r52(self, bits):
         from repro.fast.blas import FastBlasPlan
+        from repro.obs import observing
 
         n = 16
         q = find_ntt_prime(bits, 2 * n)
         assert FastNtt(n, q).mode == "r52"
         assert FastNegacyclic(n, q).mode == "r52"
-        assert FastBlasPlan(q).mode == "dw"
-        assert FastModulus(q).mode == "dw"
+        assert FastModulus(q).r52 is get_r52_modulus(q)
+        rng = random.Random(bits)
+        xs = _boundary_operands(q, rng, n)
+        ys = list(reversed(xs))
+        plan = FastBlasPlan(q)
+        with observing() as session:
+            assert plan.vector_mul(xs, ys) == [x * y % q for x, y in zip(xs, ys)]
+            assert plan.axpy(xs[1], xs, ys) == [
+                (xs[1] * x + y) % q for x, y in zip(xs, ys)
+            ]
+            assert FastNtt(n, q).pointwise_mul(xs, ys) == [
+                x * y % q for x, y in zip(xs, ys)
+            ]
+        for op in ("blas.vector_mul", "blas.axpy", "ntt.pointwise"):
+            assert session.metrics.counter(f"engine.fast.r52.calls.{op}").value == 1
+
+    def test_general_products_exact_at_120_bits(self):
+        q = find_ntt_prime(120, ORDER)
+        rng = random.Random(9)
+        fm = FastModulus(q)
+        xs = [rng.randrange(q) for _ in range(16)]
+        ys = [rng.randrange(q) for _ in range(16)]
+        assert fm.mulmod_ints(xs, ys) == [x * y % q for x, y in zip(xs, ys)]
 
     @pytest.mark.parametrize("bits", THREE_LIMB_WIDTHS)
     def test_auto_transforms_match_faithful(self, bits):
@@ -292,9 +280,10 @@ class TestModulusMemoization:
         a = FastModulus.get(q)
         b = FastModulus.get(q)
         assert a is b
-        # A different mode is a different cache entry.
-        c = FastModulus.get(q, "dw")
-        assert c is not a
+        # One entry per modulus, bound to the shared r52 constants.
+        assert FastModulus.cache_size() == 1
+        assert a.r52 is get_r52_modulus(q)
+        assert FastModulus.get(find_ntt_prime(124, ORDER)) is not a
         assert FastModulus.cache_size() == 2
 
     def test_r52_modulus_memoized_too(self):
@@ -399,9 +388,9 @@ try:
     def test_fast_modulus_r52_path_matches_dw_path(case):
         q, operands = case
         xs, ys = operands[:4], operands[4:]
-        dw = FastModulus(q, mode="dw")
-        r52 = FastModulus(q, mode="r52")
-        assert dw.mulmod_ints(xs, ys) == r52.mulmod_ints(xs, ys)
+        assert FastModulus(q).mulmod_ints(xs, ys) == _dwmod_reference(
+            mulmod128, q, xs, ys
+        )
 
 except ImportError:  # pragma: no cover - hypothesis is an extra
     pass

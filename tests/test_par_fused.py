@@ -23,10 +23,10 @@ from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.par import ParallelExecutor, ParChain, ParNegacyclic
 
 N = 16
-#: Two-limb prime (r52 for every op) and three-limb prime (id "dw": its
-#: BLAS steps run on dw, its transforms on r52).
+#: Two-limb prime and three-limb prime (id "r52-3limb"); every op runs
+#: on r52 at both widths.
 Q_R52 = find_ntt_prime(60, 2 * N)
-Q_DW = find_ntt_prime(118, 2 * N)
+Q_3LIMB = find_ntt_prime(118, 2 * N)
 
 
 def _vectors(seed, count=4, n=N, q=Q_R52):
@@ -139,7 +139,7 @@ def _random_chain(rng, q):
 
 
 class TestFusedBitExactness:
-    @pytest.mark.parametrize("q", [Q_R52, Q_DW], ids=["r52", "dw"])
+    @pytest.mark.parametrize("q", [Q_R52, Q_3LIMB], ids=["r52", "r52-3limb"])
     def test_multiply_add_matches_compose(self, pool, q):
         f, g, acc = (
             _vectors(s, q=q) for s in (1, 2, 3)
@@ -150,7 +150,7 @@ class TestFusedBitExactness:
         want = blas.vector_add(fast.multiply(f, g), acc)
         assert par.multiply_add(f, g, acc) == want
 
-    @pytest.mark.parametrize("q", [Q_R52, Q_DW], ids=["r52", "dw"])
+    @pytest.mark.parametrize("q", [Q_R52, Q_3LIMB], ids=["r52", "r52-3limb"])
     def test_canonical_chains_match_fast(self, pool, q):
         f, g = _vectors(4, q=q), _vectors(5, q=q)
         neg = FastNegacyclic(N, q)
