@@ -95,14 +95,26 @@ MIN_RNS_SPEEDUP = 1.05
 #: Primes in the RNS step's basis, each of ``GEMM_BITS`` bits (the rns-inproc shape).
 RNS_PRIMES = 4
 
-#: CI floor for the blocked r52 vs dw 16 x 4096 ``vector_mul``/``axpy``
-#: at 124 bits: below 1.0 the engine would be slower on the wide-batch
-#: shard than the double-word path it replaced.
+#: CI floor for the blocked r52 vs dw ``vector_mul``/``axpy`` at 124 bits
+#: on every wide-batch shard size: below 1.0 the engine would be slower
+#: on some pool size than the double-word path it replaced.
 MIN_WIDE_BLAS_SPEEDUP = 1.0
 
-#: Key prefix and interleaved rounds of that duel.
-WIDE_BLAS_KEY = "fast.r52.blas16x4096_124"
+#: Elements of one wide-batch BLAS call (32 rows of 4096). A pool of
+#: ``w`` workers splits it flat into ``w`` shards (``suggest_shards``),
+#: so the shard a worker multiplies depends on the host's CPU count.
+WIDE_BATCH_ELEMENTS = 32 * 4096
+
+#: Pool sizes whose shard (``WIDE_BATCH_ELEMENTS // w`` elements) is duelled.
+WIDE_SHARD_WORKERS = (2, 4, 8, 16, 32)
+
+#: Interleaved rounds of those duels.
 WIDE_BLAS_ROUNDS = 15
+
+
+def wide_shard_key(elements: int) -> str:
+    """Key prefix of the 124-bit duel on a flat shard of ``elements``."""
+    return f"fast.r52.shard{elements}_124"
 
 #: Modulus width for the gated r52 section: a two-limb prime (the
 #: headline 124-bit prime above is a three-limb width, duelled
@@ -325,10 +337,10 @@ def run_r52(fast_rounds: int = 5) -> dict:
     the redundant-limb substrate buys on the 4096-point NTT, resident
     point-wise multiply and resident ``axpy``, at a two-limb width
     (``fast.r52.*``) and at the top of the three-limb range
-    (``fast.r52.*_124``), plus whole 16 x 4096 ``vector_mul``/``axpy``
-    calls at 124 bits (``fast.r52.blas16x4096_124.*``, the pool's
-    wide-batch shard). Every pair is cross-checked bit-exact before the
-    timings are recorded.
+    (``fast.r52.*_124``), plus whole ``vector_mul``/``axpy`` calls at
+    124 bits on every shard a 2- to 32-worker pool cuts from one
+    wide-batch call (``fast.r52.shard<elements>_124.*``). Every pair is
+    cross-checked bit-exact before the timings are recorded.
     """
     values = _substrate_duels(R52_BITS, "", fast_rounds)
     values.update(_substrate_duels(124, "_124", fast_rounds))
@@ -555,12 +567,12 @@ def _substrate_duels(bits: int, suffix: str, fast_rounds: int) -> dict:
 
 
 def _wide_blas_duels(rounds: int = WIDE_BLAS_ROUNDS) -> dict:
-    """Blocked r52 ``vector_mul``/``axpy`` against dw on one wide-batch shard.
+    """Blocked r52 ``vector_mul``/``axpy`` against dw on wide-batch shards.
 
-    16 x 4096 operands at 124 bits, limb arrays in and out: the shape a
-    2-worker pool hands each worker on the wide-batch workload. Rounds
-    alternate the two sides; each side's time is the median of its
-    rounds.
+    One flat shard per pool size in :data:`WIDE_SHARD_WORKERS`, 124-bit
+    limb arrays in and out, the shape ``ParBlasPlan`` hands each worker.
+    Rounds alternate the two sides; each side's time is the median of
+    its rounds.
     """
     import statistics
 
@@ -569,31 +581,47 @@ def _wide_blas_duels(rounds: int = WIDE_BLAS_ROUNDS) -> dict:
 
     q = find_ntt_prime(124, 1 << 20)
     rng = random.Random(2029)
-    x, y = (
-        limbs_from_ints([[rng.randrange(q) for _ in range(BLAS_N)] for _ in range(16)])
-        for _ in range(2)
-    )
-    a = rng.randrange(q)
     plan, mod_dw = FastBlasPlan(q), DwModulus(q)
+    a = rng.randrange(q)
     values = {}
-    for op, dw_fn, r52_fn in (
-        ("vector_mul", lambda: mod_dw.vector_mul(x, y), lambda: plan.vector_mul(x, y)),
-        ("axpy", lambda: mod_dw.axpy(a, x, y), lambda: plan.axpy(a, x, y)),
-    ):
-        if (dw_fn() != r52_fn()).any():
-            raise AssertionError(f"dw and blocked r52 {op} differ at 124 bits")
-        times = {dw_fn: [], r52_fn: []}
-        for _ in range(rounds):
-            for fn in times:
-                start = time.perf_counter()
-                fn()
-                times[fn].append(time.perf_counter() - start)
-        dw_s = statistics.median(times[dw_fn])
-        r52_s = statistics.median(times[r52_fn])
-        values[f"{WIDE_BLAS_KEY}.{op}.dw_s"] = dw_s
-        values[f"{WIDE_BLAS_KEY}.{op}.r52_s"] = r52_s
-        values[f"{WIDE_BLAS_KEY}.{op}.speedup"] = dw_s / r52_s
+    for workers in WIDE_SHARD_WORKERS:
+        elements = WIDE_BATCH_ELEMENTS // workers
+        x, y = (
+            limbs_from_ints([rng.randrange(q) for _ in range(elements)])
+            for _ in range(2)
+        )
+        key = wide_shard_key(elements)
+        for op, dw_fn, r52_fn in (
+            ("vector_mul", lambda: mod_dw.vector_mul(x, y), lambda: plan.vector_mul(x, y)),
+            ("axpy", lambda: mod_dw.axpy(a, x, y), lambda: plan.axpy(a, x, y)),
+        ):
+            if (dw_fn() != r52_fn()).any():
+                raise AssertionError(
+                    f"dw and blocked r52 {op} differ at 124 bits on {elements} elements"
+                )
+            times = {dw_fn: [], r52_fn: []}
+            for _ in range(rounds):
+                for fn in times:
+                    start = time.perf_counter()
+                    fn()
+                    times[fn].append(time.perf_counter() - start)
+            dw_s = statistics.median(times[dw_fn])
+            r52_s = statistics.median(times[r52_fn])
+            values[f"{key}.{op}.dw_s"] = dw_s
+            values[f"{key}.{op}.r52_s"] = r52_s
+            values[f"{key}.{op}.speedup"] = dw_s / r52_s
     return values
+
+
+def _wide_speedups(values: dict) -> dict:
+    """``{(workers, op): speedup}`` of the gated wide-batch shard duels."""
+    return {
+        (workers, op): values[
+            f"{wide_shard_key(WIDE_BATCH_ELEMENTS // workers)}.{op}.speedup"
+        ]
+        for workers in WIDE_SHARD_WORKERS
+        for op in ("vector_mul", "axpy")
+    }
 
 
 def record(values: dict, snapshot_path=DEFAULT_SNAPSHOT) -> None:
@@ -611,8 +639,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--min-wide-blas-speedup", type=float, default=MIN_WIDE_BLAS_SPEEDUP,
-        help="floor for the blocked-r52 vs dw 16x4096 vector_mul/axpy "
-        "speedups at 124 bits",
+        help="floor for the blocked-r52 vs dw vector_mul/axpy speedups at "
+        "124 bits on every wide-batch shard size (2 to 32 workers)",
     )
     parser.add_argument(
         "--min-gemm-speedup", type=float, default=MIN_GEMM_SPEEDUP,
@@ -646,12 +674,15 @@ def main(argv=None) -> int:
               f"  vector_mul "
               f"{values[f'fast.r52.blas4096{suffix}.vector_mul.speedup']:.2f}x"
               f"  axpy {values[f'fast.r52.blas4096{suffix}.axpy.speedup']:.2f}x")
-    wide = {op: values[f"{WIDE_BLAS_KEY}.{op}.speedup"] for op in ("vector_mul", "axpy")}
-    for op in wide:
-        print(f"blocked r52 vs dw @ 124-bit prime, 16 x {BLAS_N} {op}: "
-              f"dw {values[f'{WIDE_BLAS_KEY}.{op}.dw_s'] * 1e3:.2f}ms"
-              f"  r52 {values[f'{WIDE_BLAS_KEY}.{op}.r52_s'] * 1e3:.2f}ms"
-              f"  {wide[op]:.2f}x (gated)")
+    wide = _wide_speedups(values)
+    for (workers, op), speedup in wide.items():
+        elements = WIDE_BATCH_ELEMENTS // workers
+        key = wide_shard_key(elements)
+        print(f"blocked r52 vs dw @ 124-bit prime, {elements}-element shard "
+              f"({workers} workers) {op}: "
+              f"dw {values[f'{key}.{op}.dw_s'] * 1e3:.2f}ms"
+              f"  r52 {values[f'{key}.{op}.r52_s'] * 1e3:.2f}ms"
+              f"  {speedup:.2f}x (gated)")
     for bits in GEMM_DUEL_BITS:
         key = f"fast.gemm.polymul{NTT_N}_{bits}"
         gated = " (gated)" if bits == GEMM_BITS else ""
@@ -675,10 +706,12 @@ def main(argv=None) -> int:
         print(f"FAIL: r52 NTT speedup {r52_ntt:.2f}x is below the "
               f"{args.min_r52_speedup:.1f}x floor", file=sys.stderr)
         return 1
-    for op, speedup in wide.items():
+    for (workers, op), speedup in wide.items():
         if speedup < args.min_wide_blas_speedup:
-            print(f"FAIL: 124-bit 16 x {BLAS_N} {op} speedup {speedup:.2f}x is "
-                  f"below the {args.min_wide_blas_speedup:.1f}x floor", file=sys.stderr)
+            print(f"FAIL: 124-bit {op} on the {workers}-worker wide-batch shard "
+                  f"({WIDE_BATCH_ELEMENTS // workers} elements): speedup "
+                  f"{speedup:.2f}x is below the {args.min_wide_blas_speedup:.1f}x "
+                  "floor", file=sys.stderr)
             return 1
     if gemm < args.min_gemm_speedup:
         print(f"FAIL: GEMM product speedup {gemm:.2f}x is below the "
@@ -702,8 +735,8 @@ def test_fast_engine_speedup(tmp_path):
     assert values["fast.r52.ntt4096.speedup"] >= MIN_R52_NTT_SPEEDUP
     assert values["fast.r52.blas4096.vector_mul.speedup"] > 1.0
     assert values["fast.r52.blas4096.axpy.speedup"] > 1.0
-    for op in ("vector_mul", "axpy"):
-        assert values[f"{WIDE_BLAS_KEY}.{op}.speedup"] >= MIN_WIDE_BLAS_SPEEDUP
+    for speedup in _wide_speedups(values).values():
+        assert speedup >= MIN_WIDE_BLAS_SPEEDUP
     assert values[f"fast.gemm.polymul{NTT_N}_{GEMM_BITS}.speedup"] >= MIN_GEMM_SPEEDUP
     assert values[f"fast.rns.mac{NTT_N}_{RNS_PRIMES}x{GEMM_BITS}.speedup"] >= MIN_RNS_SPEEDUP
 

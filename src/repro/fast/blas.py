@@ -58,7 +58,7 @@ class FastBlasPlan:
         """
         xa, ya, as_ints = self._coerce_pair(x, y)
         with engine_run_span(
-            "fast", "blas.vector_add", xa.size // 2, mode="r52"
+            "fast", "blas.vector_add", xa.size // 2, mode="dw"
         ):
             out = self.mod.addmod(xa, ya)
         return limbs_to_ints(out) if as_ints else out
@@ -67,7 +67,7 @@ class FastBlasPlan:
         """Point-wise ``(x - y) mod q`` (double-word path, like add)."""
         xa, ya, as_ints = self._coerce_pair(x, y)
         with engine_run_span(
-            "fast", "blas.vector_sub", xa.size // 2, mode="r52"
+            "fast", "blas.vector_sub", xa.size // 2, mode="dw"
         ):
             out = self.mod.submod(xa, ya)
         return limbs_to_ints(out) if as_ints else out

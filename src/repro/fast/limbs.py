@@ -21,7 +21,7 @@ the word semantics the carry chains need — no masking required.
 from __future__ import annotations
 
 import functools
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -236,11 +236,14 @@ def r52_split(arr: np.ndarray, limbs: int) -> List[np.ndarray]:
 
 
 @_wrapping
-def r52_join(planes: Sequence[np.ndarray]) -> np.ndarray:
+def r52_join(
+    planes: Sequence[np.ndarray], out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Inverse of :func:`r52_split`: 52-bit planes back to ``(..., 2)``.
 
     Every plane must be canonical (strictly below ``2^52``); redundant
-    (carry-deferred) planes must be normalized first.
+    (carry-deferred) planes must be normalized first. ``out``, when
+    given, is a ``(..., 2)`` array (or view) the words are written into.
     """
     limbs = len(planes)
     if limbs == 1:
@@ -256,4 +259,8 @@ def r52_join(planes: Sequence[np.ndarray]) -> np.ndarray:
         raise ArithmeticDomainError(
             f"r52 limb count must be 1, 2 or 3, got {limbs}"
         )
-    return np.stack([lo, hi], axis=-1)
+    if out is None:
+        return np.stack([lo, hi], axis=-1)
+    out[..., 0] = lo
+    out[..., 1] = hi
+    return out

@@ -95,8 +95,9 @@ def _pack_narrow(values: IntVector) -> Optional[np.ndarray]:
 
 
 #: Elements per block of a general-operand r52 product
-#: (:func:`_r52_blocks`). A whole-array product holds about 180 B of
-#: temporaries per element at its peak; per block they stay in cache.
+#: (:func:`_r52_blocks`). A whole-array 124-bit product allocates about
+#: 220 B of temporaries per element at its peak; per block they stay in
+#: cache.
 BLOCK_ELEMENTS = 8192
 
 
@@ -113,14 +114,15 @@ def _r52_blocks(
     in one pass.
     """
 
-    def run(*blocks: np.ndarray) -> np.ndarray:
-        return r52_join(op(*(r52_split(b, r.limbs) for b in blocks)))
+    def run(dst: np.ndarray, *blocks: np.ndarray) -> None:
+        r52_join(op(*(r52_split(b, r.limbs) for b in blocks)), out=dst)
 
     shape = np.broadcast_shapes(*(x.shape for x in operands))
-    if prod(shape[:-1]) <= BLOCK_ELEMENTS:
-        return run(*operands).reshape(shape)
-    n = shape[-2]
     out = np.empty(shape, dtype=LIMB_DTYPE)
+    if prod(shape[:-1]) <= BLOCK_ELEMENTS:
+        run(out, *operands)
+        return out
+    n = shape[-2]
     rows = out.reshape(-1, n, 2)
     views = [
         x if x.ndim == 1 else np.broadcast_to(x, shape).reshape(rows.shape)
@@ -130,7 +132,7 @@ def _r52_blocks(
     for r0 in range(0, rows.shape[0], row_step):
         for c0 in range(0, n, col_step):
             block = (slice(r0, r0 + row_step), slice(c0, c0 + col_step))
-            rows[block] = run(*(x if x.ndim == 1 else x[block] for x in views))
+            run(rows[block], *(x if x.ndim == 1 else x[block] for x in views))
     return out
 
 

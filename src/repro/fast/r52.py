@@ -21,23 +21,31 @@ Representation
     radix ``2^(52L)`` and that every Barrett intermediate below stays
     in ``L`` limbs — so the lazy NTT path is available at every width.
 
-The high half of a 52x52-bit product is obtained the way IFMA hardware
-does it for free and floats do it almost for free: ``float64`` has a
-52-bit mantissa, so ``trunc(float(a) * (float(b) * 2^-52))`` is the true
-high part up to ±1, and the exact low bits (which ``uint64 * uint64``
-gives us for free, wrapped) pin the correction::
+The high half of a limb product is obtained the way IFMA hardware does
+it for free and floats do it almost for free: ``float64`` has a 52-bit
+mantissa, so ``trunc(float(a) * (float(b) * 2^-52))`` is the true high
+part up to a few units, and the exact low bits (which ``uint64 * uint64``
+gives us for free, wrapped) pin the correction. It is made once per
+product *column*, not once per limb product: the wrapped ``uint64`` sum
+``S`` of every product ``a_i * b_j`` with ``i + j = k`` (plus the carry
+out of column ``k - 1``) is that column's exact value modulo ``2^64``,
+the float products summed estimate its high part as ``h``, and::
 
-    d = ((lo >> 52) - h_est) & 0xFFF;  d -= (d >> 11) << 12;  h = h_est + d
+    w = S - (h << 52);  high = h + (int64(w) >> 52);  low = S & (2^52 - 1)
 
-(the window is ±2048, far beyond the ±2-ish float error, and the
-``uint64`` wraparound makes the correction exact).
+(the sign-extended top 12 bits of ``w`` are ``high - h``, exact while
+the estimate is within ±2048 — it is within ±64 — and the carry rides
+into the next column with no separate ripple pass).
 
 Reduction is the shift-refined Barrett of ``arith.dwmod`` re-derived
-over 52-bit limbs with one guard bit on each shift —
-``mu = floor(2^(2*beta+1) / q)``, ``estimate = ((t >> (beta-2)) * mu)
->> (beta+3)`` — which tightens the quotient error to at most 1, so a
-*single* conditional subtraction finishes ``mulmod`` (the classic
-``beta-1``/``beta+1`` shifts of the double-word path need two).
+over 52-bit limbs: ``mu = floor(2^(pre+post) / q)``, ``estimate =
+((t >> pre) * mu) >> post``. Any ``pre <= beta - 2`` with ``pre + post
+>= 2*beta + 1`` bounds the quotient error by 1, so a *single*
+conditional subtraction finishes ``mulmod`` (the classic
+``beta-1``/``beta+1`` shifts of the double-word path need two). Where
+the widths allow (:func:`barrett_shifts`) both shifts are multiples of
+52, so they select limb columns instead of shifting every plane; the
+other widths use one guard bit on each side, ``(beta-2, beta+3)``.
 Everything is cross-validated bit-exactly against :mod:`repro.arith.dwmod`
 in ``tests/test_fast_r52.py``.
 """
@@ -79,11 +87,9 @@ LAZY_BOUND_MULTIPLE = 4
 
 _U64 = np.uint64
 _S52 = _U64(52)
+_S52_SIGNED = np.int64(52)
 _B52 = _U64(1 << 52)
 _B52M1 = _U64((1 << 52) - 1)
-_WIN_MASK = _U64(0xFFF)
-_WIN_HALF = _U64(11)
-_WIN_BITS = _U64(12)
 _SCALE = 2.0 ** -52
 
 LimbPlanes = List[np.ndarray]
@@ -99,19 +105,71 @@ def limb_count(beta: int) -> int:
     )
 
 
-@_wrapping
-def _exact_hi52(lo: np.ndarray, a_f: np.ndarray, b_f_scaled) -> np.ndarray:
-    """Exact high 52+ bits of a limb product from its float estimate.
+def barrett_shifts(beta: int, limbs: int) -> Tuple[int, int]:
+    """``(pre, post)`` for the Barrett estimate of an ``L``-limb modulus.
 
-    ``lo`` is the wrapped ``uint64`` product (its low bits are exact),
-    ``a_f`` the unscaled float image of one operand, ``b_f_scaled`` the
-    other operand pre-multiplied by ``2^-52``. The float estimate is off
-    by at most ~2; the correction window recovers the true value.
+    Both bounds of the quotient error need ``pre <= beta - 2`` and
+    ``pre + post >= 2*beta + 1`` (``t < q^2``, ``q > 2^(beta-1)``); the
+    shifted product ``t >> pre < 2^(2*beta - pre)`` and ``mu <
+    2^(pre + post - beta + 1)`` must fit ``L`` limbs. The largest
+    multiple of 52 for ``pre`` with the smallest multiple of 52 for
+    ``post`` is taken when it fits (124 and 60 bits among others), else
+    the guard-bit pair ``(beta - 2, beta + 3)``.
     """
-    h = (a_f * b_f_scaled).astype(_U64)
-    d = ((lo >> _S52) - h) & _WIN_MASK
-    d -= (d >> _WIN_HALF) << _WIN_BITS
-    return h + d
+    radix = LIMB52_BITS * limbs
+    for pre in range((beta - 2) // LIMB52_BITS * LIMB52_BITS, -1, -LIMB52_BITS):
+        post = -(-(2 * beta + 1 - pre) // LIMB52_BITS) * LIMB52_BITS
+        if 2 * beta - pre <= radix and pre + post <= radix + beta - 1:
+            return pre, post
+    return beta - 2, beta + 3
+
+
+@_wrapping
+def _product_columns(
+    a: Sequence, af: Sequence, b: Sequence, bf: Sequence, ncols: int
+) -> LimbPlanes:
+    """The low ``ncols`` 52-bit columns of ``a * b``, exact and canonical.
+
+    ``af`` are the float images of ``a``'s planes, ``bf`` those of
+    ``b``'s pre-multiplied by ``2^-52``; planes may be redundant (below
+    ``2^53``: still exact in float64). Each column sums its limb
+    products twice, wrapped in ``uint64`` and estimated in float64, and
+    one correction per column (module docstring) splits the sum into
+    the column's low 52 bits and the carry into the next; the top
+    column of a full product is the last carry.
+    """
+    cols: LimbPlanes = []
+    carry = None
+    for k in range(ncols):
+        pairs = [
+            (i, k - i)
+            for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)
+        ]
+        if not pairs:
+            cols.append(carry)
+            continue
+        high = k + 1 < ncols
+        total = est = None
+        for i, j in pairs:
+            term = a[i] * b[j]
+            if total is None:
+                total = term
+            else:
+                total += term
+            if high:
+                f = af[i] * bf[j]
+                if est is None:
+                    est = f
+                else:
+                    est += f
+        if carry is not None:
+            total += carry
+        cols.append(total & MASK52)
+        if high:
+            carry = est.astype(_U64)
+            total -= carry << _S52
+            carry += (total.view(np.int64) >> _S52_SIGNED).view(_U64)
+    return cols
 
 
 def _as_floats(planes: Sequence, scaled: bool) -> list:
@@ -119,7 +177,9 @@ def _as_floats(planes: Sequence, scaled: bool) -> list:
     out = []
     for p in planes:
         f = p.astype(np.float64) if isinstance(p, np.ndarray) else np.float64(int(p))
-        out.append(f * _SCALE if scaled else f)
+        if scaled:
+            f *= _SCALE
+        out.append(f)
     return out
 
 
@@ -140,11 +200,10 @@ class R52Modulus:
         self.beta = beta = q.bit_length()
         self.limbs = L = limb_count(beta)
         self.radix_bits = LIMB52_BITS * L
-        #: Guard-bit Barrett: one extra bit on each shift bounds the
-        #: quotient error by 1 (single conditional subtraction).
-        self.mu = (1 << (2 * beta + 1)) // q
-        self.shift_pre = beta - 2
-        self.shift_post = beta + 3
+        #: Barrett shifts bounding the quotient error by 1 (single
+        #: conditional subtraction), word-aligned where they fit.
+        self.shift_pre, self.shift_post = barrett_shifts(beta, L)
+        self.mu = (1 << (self.shift_pre + self.shift_post)) // q
         mask = (1 << LIMB52_BITS) - 1
         self._q = tuple(_U64((q >> (LIMB52_BITS * k)) & mask) for k in range(L))
         self._mu = tuple(
@@ -214,20 +273,21 @@ class R52Modulus:
         out: LimbPlanes = []
         carry = None
         for k in range(self.limbs):
-            acc = x[k] + (_B52 if k == 0 else _B52M1) - y[k]
+            acc = x[k] + (_B52 if k == 0 else _B52M1)
+            acc -= y[k]
             if carry is not None:
-                acc = acc + carry
+                acc += carry
             out.append(acc & MASK52)
-            carry = acc >> _S52
+            acc >>= _S52
+            carry = acc
         return out, carry
 
     @_wrapping
     def _cond_sub(self, x: LimbPlanes, y: Sequence) -> LimbPlanes:
         """``x - y`` where ``x >= y`` (canonical planes, scalar ``y``)."""
         diff, no_borrow = self._sub_chain(x, y)
-        mask = _U64(0) - no_borrow
-        inv = ~mask
-        return [(diff[k] & mask) | (x[k] & inv) for k in range(self.limbs)]
+        keep = no_borrow.astype(bool)
+        return [np.where(keep, diff[k], x[k]) for k in range(self.limbs)]
 
     def cond_sub_q(self, x: LimbPlanes) -> LimbPlanes:
         """One Barrett correction: subtract ``q`` where ``x >= q``."""
@@ -245,54 +305,9 @@ class R52Modulus:
     # Products (madd52lo/madd52hi analogues, carries batched per column)
     # ------------------------------------------------------------------
 
-    @_wrapping
-    def _mul_full(
-        self, a: Sequence, af: Sequence, b: Sequence, bf: Sequence
-    ) -> List[np.ndarray]:
-        """Exact ``2L``-column product; carries propagated once at the end.
-
-        ``a`` may be redundant (planes < ``2^53``: still exact in
-        float64 and within the correction window); ``b`` must be
-        canonical with pre-scaled floats ``bf``.
-        """
-        L = self.limbs
-        cols: List = [None] * (2 * L)
-        for i in range(L):
-            for j in range(L):
-                lo = a[i] * b[j]
-                hi = _exact_hi52(lo, af[i], bf[j])
-                k = i + j
-                lo52 = lo & MASK52
-                cols[k] = lo52 if cols[k] is None else cols[k] + lo52
-                cols[k + 1] = hi if cols[k + 1] is None else cols[k + 1] + hi
-        # Column 0 is a single already-masked product — no carry out.
-        for k in range(1, 2 * L - 1):
-            cols[k + 1] = cols[k + 1] + (cols[k] >> _S52)
-            cols[k] = cols[k] & MASK52
-        return cols
-
-    @_wrapping
-    def _mul_low(
-        self, a: Sequence, af: Sequence, b: Sequence, bf: Sequence
-    ) -> LimbPlanes:
-        """Low ``L`` limbs of the product, exactly (``mullo`` analogue)."""
-        L = self.limbs
-        cols: List = [None] * L
-        for i in range(L):
-            for j in range(L - i):
-                lo = a[i] * b[j]
-                k = i + j
-                lo52 = lo & MASK52
-                cols[k] = lo52 if cols[k] is None else cols[k] + lo52
-                if k + 1 < L:
-                    hi = _exact_hi52(lo, af[i], bf[j])
-                    cols[k + 1] = hi if cols[k + 1] is None else cols[k + 1] + hi
-        # Column 0 is a single already-masked product — no carry out.
-        for k in range(1, L - 1):
-            cols[k + 1] = cols[k + 1] + (cols[k] >> _S52)
-            cols[k] = cols[k] & MASK52
-        cols[L - 1] = cols[L - 1] & MASK52
-        return cols
+    # Full products keep all 2L columns, low (``mullo``) products the
+    # first L; ``a`` may be redundant (planes < 2^53), ``b`` must be
+    # canonical with pre-scaled floats (:func:`_product_columns`).
 
     def _shift_limbs(self, cols: List[np.ndarray], amount: int) -> LimbPlanes:
         """``(value >> amount)`` of a column vector, low ``L`` limbs."""
@@ -342,25 +357,34 @@ class R52Modulus:
         ]
 
     def mulmod(self, a: LimbPlanes, b: LimbPlanes) -> LimbPlanes:
-        """``(a * b) mod q`` via guard-bit Barrett over 52-bit limbs.
+        """``(a * b) mod q`` via Barrett over 52-bit limbs.
 
-        1. ``t = a * b`` (``2L`` columns, carries batched once),
-        2. ``estimate = ((t >> (beta-2)) * mu) >> (beta+3)`` — the two
-           guard bits bound ``floor(t/q) - estimate`` by 1,
+        1. ``t = a * b`` (``2L`` columns, carries carried column to column),
+        2. ``estimate = ((t >> pre) * mu) >> post`` (:func:`barrett_shifts`)
+           — ``floor(t/q) - estimate`` is 0 or 1,
         3. ``c = t - estimate * q`` modulo ``2^(52L)`` (fits: ``2q <
            2^(52L)`` by the limb-count rule),
         4. one conditional subtraction of ``q``.
         """
-        af = _as_floats(a, scaled=False)
-        bf = _as_floats(b, scaled=True)
-        t_cols = self._mul_full(a, af, b, bf)
+        # Float images and the quotient product die as soon as they are
+        # used: fewer live temporaries, fewer pages touched per block.
+        L = self.limbs
+        t_cols = _product_columns(
+            a, _as_floats(a, scaled=False), b, _as_floats(b, scaled=True), 2 * L
+        )
         s = self._shift_limbs(t_cols, self.shift_pre)
-        sf = _as_floats(s, scaled=False)
-        g_cols = self._mul_full(s, sf, self._mu, self._muf)
-        est = self._shift_limbs(g_cols, self.shift_post)
-        est_f = _as_floats(est, scaled=False)
-        est_q_low = self._mul_low(est, est_f, self._q, self._qf)
-        c, _ = self._sub_chain(t_cols[: self.limbs], est_q_low)
+        est = self._shift_limbs(
+            _product_columns(
+                s, _as_floats(s, scaled=False), self._mu, self._muf, 2 * L
+            ),
+            self.shift_post,
+        )
+        est_q_low = _product_columns(
+            est, _as_floats(est, scaled=False), self._q, self._qf, L
+        )
+        del est
+        c, _ = self._sub_chain(t_cols[:L], est_q_low)
+        del t_cols, est_q_low
         return self.cond_sub_q(c)
 
     # ------------------------------------------------------------------
@@ -425,12 +449,11 @@ class R52Modulus:
         redundant (below ``2^53``); the result planes are canonical.
         """
         w_planes, w_f, wp_planes, wp_f = shoup_pair
+        L = self.limbs
         yf = _as_floats(y, scaled=False)
-        cols = self._mul_full(y, yf, wp_planes, wp_f)
-        h = cols[self.limbs:]
-        hf = _as_floats(h, scaled=False)
-        wy_low = self._mul_low(y, yf, w_planes, w_f)
-        hq_low = self._mul_low(h, hf, self._q, self._qf)
+        h = _product_columns(y, yf, wp_planes, wp_f, 2 * L)[L:]
+        wy_low = _product_columns(y, yf, w_planes, w_f, L)
+        hq_low = _product_columns(h, _as_floats(h, scaled=False), self._q, self._qf, L)
         r, _ = self._sub_chain(wy_low, hq_low)
         return r
 

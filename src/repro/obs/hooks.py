@@ -70,8 +70,8 @@ def engine_run_span(engine: str, op: str, elements: int = 0, **attrs):
     Perfetto view. With no session active the returned
     :func:`~contextlib.nullcontext` keeps the call site at one global
     read. Extra keyword attributes land on the span unchanged: the fast
-    engine passes ``mode="gemm"``/``"r52"`` so a trace shows which
-    kernel served each call.
+    engine passes ``mode="gemm"``/``"r52"``/``"dw"`` so a trace shows
+    which kernel served each call.
     """
     session = current()
     if session is None:

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import NttParameterError
+from repro.errors import ArithmeticDomainError, NttParameterError
 from repro.fast import chain as fast_chain
 from repro.fast.blas import FastBlasPlan, IntMatrix
 from repro.fast.limbs import LIMB_DTYPE, limbs_to_ints
@@ -526,6 +526,12 @@ def parallel_rns_mul(
     """
     primes = ring.basis.primes
     k, n = len(primes), ring.n
+    for name, residues in (("f_residues", f_residues), ("g_residues", g_residues)):
+        rows = len(residues) if isinstance(residues, (list, tuple, np.ndarray)) else None
+        if rows != k:
+            raise ArithmeticDomainError(
+                f"{name} must hold one residue row per prime ({k}), got {rows}"
+            )
     fa = np.empty((k, n, 2), dtype=LIMB_DTYPE)
     ga = np.empty((k, n, 2), dtype=LIMB_DTYPE)
     steps = (
@@ -542,8 +548,15 @@ def parallel_rns_mul(
         # fails fast with the fast engine's error instead of a retried
         # worker failure.
         mod = FastModulus.get(q)
-        fa[i] = mod.to_limbs(f_residues[i], f"f_residues[{i}]")
-        ga[i] = mod.to_limbs(g_residues[i], f"g_residues[{i}]")
+        for name, residues, packed in (
+            ("f_residues", f_residues, fa), ("g_residues", g_residues, ga)
+        ):
+            row = mod.to_limbs(residues[i], f"{name}[{i}]")
+            if row.shape != (n, 2):
+                raise ArithmeticDomainError(
+                    f"{name}[{i}] must be {n} residues, got shape {row.shape[:-1]}"
+                )
+            packed[i] = row
         metas.append(_chain_meta(steps, q, n, ntt.table.root, psi))
     count("engine.<engine>.calls.<op>", "parallel", "rns.mul")
     count("engine.<engine>.elements.<op>", "parallel", "rns.mul", amount=k * n)

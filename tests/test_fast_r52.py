@@ -28,6 +28,7 @@ from repro.fast.r52 import (
     STAGE_DEFERRED_ADDS,
     R52Modulus,
     R52Ntt,
+    barrett_shifts,
     get_r52_modulus,
     limb_count,
 )
@@ -136,6 +137,39 @@ class TestSplitJoinRoundtrip:
             assert p.dtype == np.uint64
             assert int(p.max(initial=0)) < 1 << 52
         assert limbs_to_ints(r52_join(planes)) == values
+        out = np.full(arr.shape, 7, dtype=np.uint64)
+        assert r52_join(planes, out=out) is out
+        assert limbs_to_ints(out) == values
+
+
+class TestBarrettShifts:
+    @pytest.mark.parametrize("beta", range(2, 125))
+    def test_error_bound_and_fit_at_every_width(self, beta):
+        L = limb_count(beta)
+        pre, post = barrett_shifts(beta, L)
+        # Quotient error at most 1 (one conditional subtraction) ...
+        assert pre <= beta - 2 and pre + post >= 2 * beta + 1
+        # ... and t >> pre, mu and c = t - estimate * q fit L limbs.
+        assert 2 * beta - pre <= 52 * L
+        assert pre + post <= 52 * L + beta - 1
+
+    @pytest.mark.parametrize("beta, shifts", [(124, (104, 156)), (60, (52, 104))])
+    def test_word_aligned_at_the_workload_widths(self, beta, shifts):
+        assert barrett_shifts(beta, limb_count(beta)) == shifts
+
+    def test_mulmod_exact_at_every_width(self):
+        # Odd moduli of every width (word-aligned and guard-bit shifts
+        # alike), with the largest product (q-1)^2 among the operands.
+        rng = random.Random(2)
+        for beta in range(2, 125):
+            q = rng.randrange(1 << (beta - 1), 1 << beta) | 1
+            if q < 3:
+                continue
+            r = R52Modulus(q)
+            xs = [0, 1, q - 1, q - 2] + [rng.randrange(q) for _ in range(28)]
+            ys = [q - 1, q - 1, q - 1, 1] + [rng.randrange(q) for _ in range(28)]
+            got = r.to_ints(r.mulmod(r.from_ints(xs), r.from_ints(ys)))
+            assert got == [x * y % q for x, y in zip(xs, ys)], beta
 
 
 def _faithful_plans(n, q):

@@ -186,6 +186,26 @@ class TestEnginePlumbing:
         with pytest.raises(ArithmeticDomainError):
             parallel_rns_mul(ring, bad, good, executor=pool)
 
+    @pytest.mark.parametrize(
+        "bad, where",
+        [
+            (lambda good: [[1], good[1]], r"f_residues\[0\] must be"),
+            (lambda good: [good[0], 5], r"f_residues\[1\] must be"),
+            (lambda good: [good[0], good[1] + [0]], r"f_residues\[1\] must be"),
+            (lambda good: good[:1], "one residue row per prime"),
+            (lambda good: good + [good[0]], "one residue row per prime"),
+        ],
+        ids=["one-element-row", "int-row", "long-row", "short", "extra-row"],
+    )
+    def test_parallel_rns_mul_rejects_misshapen_residues(self, pool, bad, where):
+        # A (1, 2) row or a bare int would broadcast over all n slots of
+        # the packed (k, n, 2) block: it must be refused, not multiplied.
+        basis = RnsBasis.generate(2, 62, 2 * N)
+        ring = RnsPolynomialRing(N, basis, get_backend("mqx"), engine="parallel")
+        good = [[1] + [0] * (N - 1) for _ in basis.primes]
+        with pytest.raises(ArithmeticDomainError, match=where):
+            parallel_rns_mul(ring, bad(good), good, executor=pool)
+
     def test_context_manager_installs_default(self):
         with ParallelExecutor(workers=1) as executor:
             assert default_executor() is executor

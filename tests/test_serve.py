@@ -355,6 +355,31 @@ class TestServiceBitExact:
         assert got == want
         assert stats["completed"] == 3 and stats["batches"] == 1
 
+    @pytest.mark.parametrize("engine", ["fast", "parallel"])
+    def test_misshapen_rns_mul_fails_alone(self, engine):
+        """A residue row of one value, or an int in place of a row, fails
+        its own rns.mul request instead of broadcasting over the ring."""
+        ring, requests, expected = _rns_requests(seed=15, count=2)
+        f, g = requests[0]
+        poisons = [([[f[0][0]], f[1]], g), ([f[0], 7], g)]
+
+        async def drive():
+            service = ReproService(config=ServeConfig(
+                engine=engine, workers=1, max_batch=4, max_wait_s=60.0,
+            ))
+            service.register_ring(ring)
+            async with service:
+                return await asyncio.gather(*(
+                    service.submit("rns.mul", req, N, ring.basis.modulus)
+                    for req in requests + poisons
+                ), return_exceptions=True)
+
+        results = asyncio.run(drive())
+        assert results[:2] == expected
+        for result in results[2:]:
+            assert isinstance(result, Exception)
+            assert not isinstance(result, ServeOverloadError)
+
     def test_rns_mul_requires_registration(self):
         async def drive():
             service = ReproService(config=ServeConfig(
